@@ -1098,14 +1098,13 @@ struct AdLane {
 /// Grid-batched spectrum evaluation: prices `G` policy forms per
 /// spectrum traversal, bit-exact to [`spectrum_run`] called per form.
 ///
-/// The evaluator follows the transposed-traversal discipline of the
-/// timing kernel's lane batching (`fuleak-uarch`'s `batched.rs`): the
-/// `(length, count)` entry is decoded once, the per-entry deltas every
-/// lane of a family shares (`t*c`, the AlwaysActive/MaxSleep/
-/// NoOverhead closed forms, the transition terms) are computed once,
-/// and the per-form passes under it are branchless straight-line code
-/// over struct-of-arrays parameter lanes. Two structural tricks keep
-/// the hot passes division-free without perturbing a single bit:
+/// The evaluator uses a transposed traversal: the `(length, count)`
+/// entry is decoded once, the per-entry deltas every lane of a family
+/// shares (`t*c`, the AlwaysActive/MaxSleep/NoOverhead closed forms,
+/// the transition terms) are computed once, and the per-form passes
+/// under it are branchless straight-line code over struct-of-arrays
+/// parameter lanes. Two structural tricks keep the hot passes
+/// division-free without perturbing a single bit:
 ///
 /// * family lanes are sorted by their parameter (`slices`, `timeout`),
 ///   so the ascending-length traversal splits each family at a rolling

@@ -33,10 +33,7 @@
 //! * `--l1d-kb` — L1 data-cache capacity in KiB;
 //! * `--l2-kb` — unified L2 capacity in KiB;
 //! * `--mem` — main-memory latency in cycles;
-//! * `--mshrs` — outstanding-miss registers;
-//! * `--no-batch` — replay every point on the scalar reference
-//!   kernel instead of lane-batching timing siblings (output is
-//!   bit-identical either way).
+//! * `--mshrs` — outstanding-miss registers.
 //!
 //! Evaluation axes price every simulated point under a sleep-policy /
 //! technology grid (closed-form over the recorded idle spectra — no
@@ -99,7 +96,7 @@ struct Options {
 
 const USAGE: &str = "usage: repro <experiment>|all [--quick|--budget N] [--jobs N] [--format text|json|csv] [--out DIR] [--store DIR]
        repro sweep [--bench A,B] [--int-fus L] [--l2 L] [--width L] [--rob L] [--l1d-kb L] [--l2-kb L] [--mem L] [--mshrs L]
-                   [--policy P,Q] [--slices L] [--leak F,G] [--transition F,G] [--no-batch] [options]
+                   [--policy P,Q] [--slices L] [--leak F,G] [--transition F,G] [options]
        repro explore [--bench A,B] [--policy P,Q] [--slices L] [--leak R] [--transition R] [options]
        repro bench [--runs N] [--jobs N] [--out DIR]
        repro store stats|clear|gc --max-mb N   (needs --store DIR or FULEAK_STORE)
@@ -279,13 +276,6 @@ fn run_sweep(args: &[&str], opts: &Options) -> Result<(), String> {
             Some((f, v)) => (f, Some(v.to_string())),
             None => (flag, None),
         };
-        if flag == "--no-batch" {
-            if value.is_some() {
-                return Err("--no-batch takes no value".to_string());
-            }
-            opts.engine.set_batching(false);
-            continue;
-        }
         let value = match value {
             Some(v) => v,
             None => it
@@ -402,12 +392,7 @@ fn json_seconds(seconds: &[f64]) -> String {
 ///   accelerates most,
 /// * that sweep against a persistent store, cold (simulate +
 ///   write-behind) vs warm (a fresh engine served entirely from
-///   disk — asserted zero-simulation and byte-identical first), and
-/// * that sweep's replay phase alone, at the kernel layer: a scalar
-///   per-point loop vs the lane-batched kernel chunked to
-///   [`MAX_LANES`], over identical cached annotations (asserted
-///   field-equal before timing, so the ratio isolates traversal
-///   cost),
+///   disk — asserted zero-simulation and byte-identical first),
 /// * a dense policy grid over the quick suite's warm spectra: the
 ///   scalar `policy_energy_of` loop vs the `GridEval` kernel
 ///   (asserted identical per form before timing), and
@@ -450,7 +435,7 @@ fn run_bench(args: &[&str], opts: &Options) -> Result<(), String> {
     }
     let jobs = opts.engine.jobs();
     eprintln!(
-        "[repro] bench: {runs} run(s) of `all --quick`, a 32-point sweep, and its lane-batched replay ({jobs} workers)..."
+        "[repro] bench: {runs} run(s) of `all --quick`, and a 32-point sweep ({jobs} workers)..."
     );
     let all_quick = time_runs(runs, || {
         let engine = Engine::new(jobs);
@@ -753,53 +738,6 @@ fn run_bench(args: &[&str], opts: &Options) -> Result<(), String> {
         std::hint::black_box(explore(&engine, &explore_spec));
     });
 
-    // Lane-batched replay workload: the fixed-geometry sweep's points
-    // replayed at the kernel layer — a scalar per-point loop vs the
-    // lane-batched kernel chunked to `MAX_LANES` — over the same
-    // cached annotations. Both paths are asserted field-equal before
-    // timing, so the ratio isolates the traversal cost alone.
-    use fuleak_uarch::{BatchedKernel, CoreConfig, TimingKernel, MAX_LANES};
-    use fuleak_workloads::annotated::AnnotatedTrace;
-    use std::sync::Arc;
-    let scenarios = sweep_spec().scenarios();
-    let mut lane_groups: Vec<(Arc<AnnotatedTrace>, Vec<CoreConfig>)> = Vec::new();
-    for s in &scenarios {
-        let ann = engine.annotation(s.bench, s.budget, &s.machine);
-        match lane_groups.iter_mut().find(|(a, _)| Arc::ptr_eq(a, &ann)) {
-            Some((_, cfgs)) => cfgs.push(s.machine.config().clone()),
-            None => lane_groups.push((ann, vec![s.machine.config().clone()])),
-        }
-    }
-    let mut scalar_kernel = TimingKernel::new();
-    let mut batched_kernel = BatchedKernel::new();
-    for (ann, cfgs) in &lane_groups {
-        for chunk in cfgs.chunks(MAX_LANES) {
-            let batched = batched_kernel.run(ann, chunk);
-            for (cfg, lane) in chunk.iter().zip(&batched) {
-                assert!(
-                    scalar_kernel.run(ann, cfg) == *lane,
-                    "scalar and batched kernels disagree on a sweep point"
-                );
-            }
-        }
-    }
-    eprintln!(
-        "[repro] bench: lane-batched replay, {sweep_points} points, scalar vs batched kernel..."
-    );
-    let replay_scalar = time_runs(runs, || {
-        for (ann, cfgs) in &lane_groups {
-            for cfg in cfgs {
-                std::hint::black_box(scalar_kernel.run(ann, cfg));
-            }
-        }
-    });
-    let replay_batched = time_runs(runs, || {
-        for (ann, cfgs) in &lane_groups {
-            for chunk in cfgs.chunks(MAX_LANES) {
-                std::hint::black_box(batched_kernel.run(ann, chunk));
-            }
-        }
-    });
     // Serving-tier workload: the same fixed-geometry sweep over HTTP.
     // Cold: 8 concurrent clients race one cold sweep — the engine's
     // single-flight layer must simulate each grid point exactly once,
@@ -856,8 +794,6 @@ fn run_bench(args: &[&str], opts: &Options) -> Result<(), String> {
         )
     };
 
-    let traversal_ratio = best(&replay_scalar) / best(&replay_batched);
-    let max_lanes = MAX_LANES;
     let warm_speedup = best(&store_cold) / best(&store_warm);
     let grid_side = |secs: &[f64]| {
         format!(
@@ -870,13 +806,11 @@ fn run_bench(args: &[&str], opts: &Options) -> Result<(), String> {
     let explore_pps = explore_points as f64 / best(&explore_runs);
 
     let json = format!(
-        "{{\n  \"name\": \"repro-bench\",\n  \"budget\": \"quick\",\n  \"jobs\": {jobs},\n  \"runs\": {runs},\n  \"all_quick\": {},\n  \"sweep_fixed_geometry\": {{\"points\": {sweep_points}, {}}},\n  \"store_sweep\": {{\"points\": {sweep_points}, \"cold\": {}, \"warm\": {}, \"warm_speedup\": {warm_speedup:.1}}},\n  \"batched_sweep\": {{\"points\": {sweep_points}, \"max_lanes\": {max_lanes}, \"scalar\": {}, \"batched\": {}, \"traversal_ratio\": {traversal_ratio:.2}}},\n  \"policy_eval\": {{\"points\": {policy_points}, \"spectrum\": {}, \"interval_replay\": {}, \"speedup_per_point\": {speedup:.1}}},\n  \"explore_grid\": {{\"points\": {grid_points}, \"forms_per_grid\": {}, \"scalar\": {}, \"grid\": {}, \"speedup_per_point\": {grid_speedup:.1}}},\n  \"explore_default\": {{\"points\": {explore_points}, {}, \"points_per_sec\": {explore_pps:.0}}},\n  \"serve\": {{\"target\": \"{serve_target}\", \"cold_concurrent\": {{\"clients\": {}, \"grid_points\": {sweep_points}, \"requested_points\": {}, \"simulated\": {cold_simulated}, \"dedup_factor\": {serve_dedup:.1}, \"wall_seconds\": {:.3}}}, \"warm_keepalive_cached\": {}, \"warm_keepalive_nocache\": {}, \"warm_close_nocache\": {}, \"cached_keepalive_vs_close_nocache\": {serve_speedup:.1}}}\n}}\n",
+        "{{\n  \"name\": \"repro-bench\",\n  \"budget\": \"quick\",\n  \"jobs\": {jobs},\n  \"runs\": {runs},\n  \"all_quick\": {},\n  \"sweep_fixed_geometry\": {{\"points\": {sweep_points}, {}}},\n  \"store_sweep\": {{\"points\": {sweep_points}, \"cold\": {}, \"warm\": {}, \"warm_speedup\": {warm_speedup:.1}}},\n  \"policy_eval\": {{\"points\": {policy_points}, \"spectrum\": {}, \"interval_replay\": {}, \"speedup_per_point\": {speedup:.1}}},\n  \"explore_grid\": {{\"points\": {grid_points}, \"forms_per_grid\": {}, \"scalar\": {}, \"grid\": {}, \"speedup_per_point\": {grid_speedup:.1}}},\n  \"explore_default\": {{\"points\": {explore_points}, {}, \"points_per_sec\": {explore_pps:.0}}},\n  \"serve\": {{\"target\": \"{serve_target}\", \"cold_concurrent\": {{\"clients\": {}, \"grid_points\": {sweep_points}, \"requested_points\": {}, \"simulated\": {cold_simulated}, \"dedup_factor\": {serve_dedup:.1}, \"wall_seconds\": {:.3}}}, \"warm_keepalive_cached\": {}, \"warm_keepalive_nocache\": {}, \"warm_close_nocache\": {}, \"cached_keepalive_vs_close_nocache\": {serve_speedup:.1}}}\n}}\n",
         json_seconds(&all_quick),
         json_seconds(&sweep).trim_start_matches('{').trim_end_matches('}'),
         json_seconds(&store_cold),
         json_seconds(&store_warm),
-        json_seconds(&replay_scalar),
-        json_seconds(&replay_batched),
         policy_side(&policy_spectrum),
         policy_side(&policy_replay),
         grid_combos.len(),
@@ -1162,23 +1096,11 @@ mod tests {
     }
 
     #[test]
-    fn no_batch_rejects_attached_value() {
+    fn no_batch_is_an_unknown_sweep_flag() {
         let opts = options();
-        let err = run_sweep(&["--no-batch=1"], &opts).unwrap_err();
-        assert!(err.contains("--no-batch takes no value"), "{err}");
-        assert!(
-            opts.engine.batching(),
-            "a rejected flag must not flip the engine"
-        );
-    }
-
-    #[test]
-    fn no_batch_disables_engine_batching() {
-        let opts = options();
-        // The later bogus flag aborts the sweep before any simulation,
-        // but `--no-batch` has already taken effect on the engine.
-        let err = run_sweep(&["--no-batch", "--bogus", "1"], &opts).unwrap_err();
-        assert!(err.contains("unknown sweep flag"), "{err}");
-        assert!(!opts.engine.batching());
+        let err = run_sweep(&["--no-batch", "--int-fus", "1:2"], &opts).unwrap_err();
+        assert!(err.contains("unknown sweep flag `--no-batch`"), "{err}");
+        assert!(run_sweep(&["--no-batch"], &opts).is_err());
+        assert_eq!(opts.engine.stats().misses, 0, "nothing was simulated");
     }
 }

@@ -122,9 +122,8 @@ pub fn parse_policies(s: &str) -> Result<Vec<PolicyKind>, String> {
 }
 
 /// Applies one value-taking sweep flag (`--bench`, `--int-fus`, …,
-/// `--transition`) to a spec. Engine-level toggles (`--no-batch`) and
-/// the shared options are the caller's business; anything else is an
-/// `unknown sweep flag` error.
+/// `--transition`) to a spec. The shared options are the caller's
+/// business; anything else is an `unknown sweep flag` error.
 pub fn apply_sweep_flag(spec: SweepSpec, flag: &str, value: &str) -> Result<SweepSpec, String> {
     Ok(match flag {
         "--bench" => {

@@ -83,27 +83,14 @@ pub fn engine_line(stats: &crate::scenario::EngineStats) -> String {
 /// `engine total: 72 points simulated, sim cache 101/173 hits (58.4%),
 /// annotation cache 63/72 hits (87.5%, 9 built), trace cache 9/18
 /// hits (50.0%), 9 traces, policy cache 720/1440 hits (50.0%, 720
-/// runs), disk store 36/72 hits (50.0%, 36 written, 0 evicted), lane
-/// batching 64 points in 4 batches (16.0 lanes/batch, 8 scalar), grid
+/// runs), disk store 36/72 hits (50.0%, 36 written, 0 evicted), grid
 /// eval 96 points in 12 traversals (1.59e6 points/s), 4 workers` —
-/// what `repro all` prints last so cross-experiment
-/// sharing of all four in-memory cache layers, the persistent disk
-/// tier behind them, and the batching effectiveness of the replay
-/// phase are visible. Stderr-only: the golden stdout transcript never
+/// what `repro all` prints last so cross-experiment sharing of all
+/// four in-memory cache layers and the persistent disk tier behind
+/// them is visible. Stderr-only: the golden stdout transcript never
 /// sees it.
 pub fn engine_summary_line(stats: &crate::scenario::EngineStats) -> String {
     let pct = |rate: Option<f64>| rate.map_or("n/a".to_string(), |r| format!("{:.1}%", 100.0 * r));
-    let batching = match stats.mean_lanes_per_batch() {
-        Some(mean) => format!(
-            "lane batching {} points in {} batch{} ({:.1} lanes/batch, {} scalar)",
-            stats.batched_lanes,
-            stats.batches,
-            if stats.batches == 1 { "" } else { "es" },
-            mean,
-            stats.scalar_fallbacks,
-        ),
-        None => format!("lane batching off ({} scalar)", stats.scalar_fallbacks),
-    };
     let grid = if stats.grid_points > 0 {
         let rate = stats
             .grid_points_per_sec()
@@ -130,7 +117,7 @@ pub fn engine_summary_line(stats: &crate::scenario::EngineStats) -> String {
         "disk store off".to_string()
     };
     format!(
-        "engine total: {} points simulated, sim cache {}/{} hits ({}), annotation cache {}/{} hits ({}, {} built), trace cache {}/{} hits ({}), {} trace{}, policy cache {}/{} hits ({}, {} run{}), {disk}, {}, {grid}, {} worker{}",
+        "engine total: {} points simulated, sim cache {}/{} hits ({}), annotation cache {}/{} hits ({}, {} built), trace cache {}/{} hits ({}), {} trace{}, policy cache {}/{} hits ({}, {} run{}), {disk}, {grid}, {} worker{}",
         stats.simulated(),
         stats.hits,
         stats.hits + stats.misses,
@@ -149,7 +136,6 @@ pub fn engine_summary_line(stats: &crate::scenario::EngineStats) -> String {
         pct(stats.policy_hit_rate()),
         stats.policy_runs,
         if stats.policy_runs == 1 { "" } else { "s" },
-        batching,
         stats.jobs,
         if stats.jobs == 1 { "" } else { "s" }
     )

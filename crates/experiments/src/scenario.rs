@@ -54,15 +54,14 @@ use fuleak_core::fxhash::{FxHashMap, FxHashSet};
 use fuleak_core::policy_eval::PolicyForm;
 use fuleak_core::EnergyModel;
 use fuleak_uarch::{
-    annotate, BatchedKernel, ConfigError, CoreConfig, MachineConfig, SimResult, Simulator,
-    TimingKernel, MAX_LANES,
+    annotate, ConfigError, CoreConfig, MachineConfig, SimResult, Simulator, TimingKernel,
 };
 use fuleak_workloads::{AnnotatedTrace, Benchmark, EncodedTrace, ExecError};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
@@ -72,13 +71,6 @@ thread_local! {
     /// cache heap structures per point. (`--jobs 1` runs everything on
     /// the calling thread, so a whole `repro all` shares one kernel.)
     static WORKER_KERNEL: RefCell<TimingKernel> = RefCell::new(TimingKernel::new());
-
-    /// One lane-batched kernel per worker thread, for the grouped
-    /// replay phase of [`Engine::prime`]: timing siblings (same
-    /// `(bench, budget, frontend_fingerprint)`) replay one annotation
-    /// traversal across up to [`MAX_LANES`] lanes, reusing the same
-    /// per-lane slabs batch after batch.
-    static WORKER_BATCHED: RefCell<BatchedKernel> = RefCell::new(BatchedKernel::new());
 }
 
 /// Locks a mutex, tolerating poison: a worker that panicked while
@@ -910,15 +902,6 @@ pub struct EngineStats {
     /// another thread's in-flight computation instead of duplicating
     /// it (sim, trace, annotation, and policy combined).
     pub flight_waits: usize,
-    /// Lane batches dispatched to the batched kernel (groups of ≥2
-    /// timing siblings, after [`MAX_LANES`] chunking).
-    pub batches: usize,
-    /// Points simulated inside lane batches (the decode work for all
-    /// of them was one trace traversal per batch).
-    pub batched_lanes: usize,
-    /// Points that fell back to the scalar kernel during primed
-    /// sweeps (singleton geometry groups, or batching disabled).
-    pub scalar_fallbacks: usize,
     /// Grid-kernel batches the explorer dispatched (one spectrum
     /// traversal pricing a whole policy grid; see [`crate::explore`]).
     pub grid_batches: usize,
@@ -967,11 +950,6 @@ impl EngineStats {
             policy_hits: self.policy_hits.saturating_sub(earlier.policy_hits),
             policy_misses: self.policy_misses.saturating_sub(earlier.policy_misses),
             flight_waits: self.flight_waits.saturating_sub(earlier.flight_waits),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batched_lanes: self.batched_lanes.saturating_sub(earlier.batched_lanes),
-            scalar_fallbacks: self
-                .scalar_fallbacks
-                .saturating_sub(earlier.scalar_fallbacks),
             grid_batches: self.grid_batches.saturating_sub(earlier.grid_batches),
             grid_points: self.grid_points.saturating_sub(earlier.grid_points),
             grid_nanos: self.grid_nanos.saturating_sub(earlier.grid_nanos),
@@ -1018,11 +996,6 @@ impl EngineStats {
     pub fn policy_hit_rate(&self) -> Option<f64> {
         let total = self.policy_hits + self.policy_misses;
         (total > 0).then(|| self.policy_hits as f64 / total as f64)
-    }
-
-    /// Mean lanes per dispatched batch, if any batches formed.
-    pub fn mean_lanes_per_batch(&self) -> Option<f64> {
-        (self.batches > 0).then(|| self.batched_lanes as f64 / self.batches as f64)
     }
 
     /// End-to-end grid throughput in points per second, if any grid
@@ -1264,14 +1237,6 @@ impl AnnotationCache {
     }
 }
 
-/// One unit of replay-phase work in [`Engine::prime`]: a lane batch
-/// of timing siblings for the batched kernel, or a single point for
-/// the scalar reference kernel.
-enum ReplayWork {
-    Batch(Vec<Scenario>),
-    Single(Scenario),
-}
-
 /// Parallel, memoizing scenario executor.
 ///
 /// Construct once, share by reference: every sweep and every lookup
@@ -1292,13 +1257,6 @@ pub struct Engine {
     traces: TraceCache,
     annotations: AnnotationCache,
     policies: PolicyCache,
-    /// Whether [`Engine::prime`] may dispatch timing-sibling groups
-    /// to the lane-batched kernel (on by default; `--no-batch` forces
-    /// the scalar reference path for bisection and CI diffing).
-    batching: AtomicBool,
-    batches: AtomicUsize,
-    batched_lanes: AtomicUsize,
-    scalar_fallbacks: AtomicUsize,
     grid_batches: AtomicUsize,
     grid_points: AtomicU64,
     grid_nanos: AtomicU64,
@@ -1327,10 +1285,6 @@ impl Engine {
             traces: TraceCache::new(),
             annotations: AnnotationCache::new(),
             policies: PolicyCache::new(),
-            batching: AtomicBool::new(true),
-            batches: AtomicUsize::new(0),
-            batched_lanes: AtomicUsize::new(0),
-            scalar_fallbacks: AtomicUsize::new(0),
             grid_batches: AtomicUsize::new(0),
             grid_points: AtomicU64::new(0),
             grid_nanos: AtomicU64::new(0),
@@ -1348,19 +1302,6 @@ impl Engine {
     /// The attached persistent store, if any.
     pub fn store(&self) -> Option<Arc<ResultStore>> {
         lock_unpoisoned(&self.store).clone()
-    }
-
-    /// Enables or disables lane batching in [`Engine::prime`]. With
-    /// batching off every point replays through the scalar reference
-    /// kernel; results are field-exactly equal either way (the CI
-    /// sweep diff pins it byte-for-byte through the CLI).
-    pub fn set_batching(&self, enabled: bool) {
-        self.batching.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether [`Engine::prime`] may use the lane-batched kernel.
-    pub fn batching(&self) -> bool {
-        self.batching.load(Ordering::Relaxed)
     }
 
     /// Records one grid-kernel contribution from the explorer:
@@ -1564,9 +1505,6 @@ impl Engine {
                 + self.traces.waits()
                 + self.annotations.waits()
                 + self.policies.waits(),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_lanes: self.batched_lanes.load(Ordering::Relaxed),
-            scalar_fallbacks: self.scalar_fallbacks.load(Ordering::Relaxed),
             grid_batches: self.grid_batches.load(Ordering::Relaxed),
             grid_points: self.grid_points.load(Ordering::Relaxed),
             grid_nanos: self.grid_nanos.load(Ordering::Relaxed),
@@ -1722,24 +1660,13 @@ impl Engine {
             self.annotations.fulfill(bench, budget, geometry, ann);
         }
         let simulated = todo.len();
-        for (s, r) in parallel_map(self.jobs, self.replay_work(todo), |work| {
-            let results = match work {
-                ReplayWork::Batch(chunk) => self.run_batch(chunk),
-                ReplayWork::Single(s) => {
-                    let result = Arc::new(self.run_point(&s));
-                    vec![(s, result)]
-                }
-            };
+        for (s, r) in parallel_map(self.jobs, todo, |s| {
+            let r = Arc::new(self.run_point(&s));
             if let Some(st) = &store {
-                for (s, r) in &results {
-                    st.save_sim(s, r);
-                }
+                st.save_sim(&s, &r);
             }
-            results
-        })
-        .into_iter()
-        .flatten()
-        {
+            (s, r)
+        }) {
             self.cache.fulfill(&s, r);
         }
         // Points a concurrent caller claimed first: block until each
@@ -1752,78 +1679,6 @@ impl Engine {
             }
         }
         simulated
-    }
-
-    /// Partitions the replay phase into units of work: scenarios
-    /// sharing `(bench, budget, frontend_fingerprint)` — *timing
-    /// siblings*, whose replays traverse the same annotation — form
-    /// lane batches chunked to [`MAX_LANES`], while singleton groups
-    /// (and everything, when batching is disabled) keep the scalar
-    /// reference path. Group order follows first occurrence in `todo`,
-    /// so the work list is deterministic; results are keyed by
-    /// scenario, so dispatch shape never affects output.
-    fn replay_work(&self, todo: Vec<Scenario>) -> Vec<ReplayWork> {
-        if !self.batching() {
-            self.scalar_fallbacks
-                .fetch_add(todo.len(), Ordering::Relaxed);
-            return todo.into_iter().map(ReplayWork::Single).collect();
-        }
-        let mut groups: Vec<Vec<Scenario>> = Vec::new();
-        let mut index: FxHashMap<(&'static str, Budget, u64), usize> = FxHashMap::default();
-        for s in todo {
-            let key = (s.bench, s.budget, s.machine.frontend_fingerprint());
-            match index.get(&key) {
-                Some(&i) => groups[i].push(s),
-                None => {
-                    index.insert(key, groups.len());
-                    groups.push(vec![s]);
-                }
-            }
-        }
-        let mut work = Vec::new();
-        for group in groups {
-            if group.len() < 2 {
-                self.scalar_fallbacks
-                    .fetch_add(group.len(), Ordering::Relaxed);
-                work.extend(group.into_iter().map(ReplayWork::Single));
-                continue;
-            }
-            let mut group = group.into_iter();
-            loop {
-                let chunk: Vec<Scenario> = group.by_ref().take(MAX_LANES).collect();
-                match chunk.len() {
-                    0 => break,
-                    1 => {
-                        // A trailing remainder of one: the batched
-                        // kernel would handle it, but the scalar path
-                        // is the cheaper single-lane traversal.
-                        self.scalar_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        work.extend(chunk.into_iter().map(ReplayWork::Single));
-                    }
-                    n => {
-                        self.batches.fetch_add(1, Ordering::Relaxed);
-                        self.batched_lanes.fetch_add(n, Ordering::Relaxed);
-                        work.push(ReplayWork::Batch(chunk));
-                    }
-                }
-            }
-        }
-        work
-    }
-
-    /// Replays one timing-sibling chunk through the calling worker's
-    /// lane-batched kernel: one annotation lookup, one traversal,
-    /// one result per lane.
-    fn run_batch(&self, chunk: Vec<Scenario>) -> Vec<(Scenario, Arc<SimResult>)> {
-        let first = &chunk[0];
-        let ann = self.annotation(first.bench, first.budget, &first.machine);
-        let cfgs: Vec<CoreConfig> = chunk.iter().map(|s| s.machine.config().clone()).collect();
-        let results = WORKER_BATCHED.with(|k| k.borrow_mut().run(&ann, &cfgs));
-        chunk
-            .into_iter()
-            .zip(results)
-            .map(|(s, r)| (s, Arc::new(r)))
-            .collect()
     }
 
     /// Returns the result for one scenario, simulating it on the

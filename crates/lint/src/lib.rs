@@ -15,7 +15,7 @@
 //!   `machine.rs::FIELDS` entry whose getter reads it, every
 //!   `FRONTEND_GEOMETRY_FIELDS` entry resolves, and
 //!   `EnergyModel::fingerprint` covers every model scalar;
-//! * `hot-alloc` — `timing.rs`/`batched.rs` steady state never
+//! * `hot-alloc` — `timing.rs`/`policy_eval.rs` steady state never
 //!   allocates outside `new*`/`reset*`/`renew*`/`grow*`;
 //! * `wallclock` — no `Instant::now`/`SystemTime` outside
 //!   bench/repro timing code;

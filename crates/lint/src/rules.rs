@@ -10,7 +10,7 @@
 //!
 //! | rule | contract |
 //! |---|---|
-//! | `hot-alloc` | `timing.rs`/`batched.rs`/`policy_eval.rs` steady state never allocates: `Vec::new`/`vec!`/`Box::new`/`format!`/`.to_string()`/`.collect()`/`.clone()` only inside `new*`/`reset*`/`renew*`/`grow*` or behind an allow |
+//! | `hot-alloc` | `timing.rs`/`policy_eval.rs` steady state never allocates: `Vec::new`/`vec!`/`Box::new`/`format!`/`.to_string()`/`.collect()`/`.clone()` only inside `new*`/`reset*`/`renew*`/`grow*` or behind an allow |
 //! | `stdout` | `println!`/`print!` only in `render.rs`/`bin/repro.rs` — the golden-transcript surface is closed by construction |
 //! | `wallclock` | `Instant::now`/`SystemTime` only in `bin/repro.rs`/`crates/bench`/`serve.rs` (request-log timing)/`loadgen.rs` (latency measurement) — results never depend on wall time |
 //! | `hash-order` | no default-hasher `HashMap`/`HashSet` in result/render/fingerprint/codec/store/respcache/loadgen paths — iteration order there must be deterministic |
@@ -31,11 +31,9 @@ pub const RULES: &[&str] = &[
 ];
 
 /// Hot-path files under the zero-steady-state-allocation contract
-/// (DESIGN.md §6/§9: scratch is reset and reused, never rebuilt).
+/// (DESIGN.md §6: scratch is reset and reused, never rebuilt).
 fn applies_hot_alloc(rel: &str) -> bool {
-    rel.ends_with("crates/uarch/src/timing.rs")
-        || rel.ends_with("crates/uarch/src/batched.rs")
-        || rel.ends_with("crates/core/src/policy_eval.rs")
+    rel.ends_with("crates/uarch/src/timing.rs") || rel.ends_with("crates/core/src/policy_eval.rs")
 }
 
 /// Modules allowed to write to stdout: the render layer and the

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod annotate;
-pub mod batched;
 pub mod bpred;
 pub mod cache;
 pub mod config;
@@ -64,7 +63,6 @@ pub mod timing;
 pub use fuleak_core::fxhash;
 
 pub use annotate::annotate;
-pub use batched::{BatchedKernel, MAX_LANES};
 pub use config::{ConfigError, CoreConfig};
 pub use machine::MachineConfig;
 pub use pipeline::Simulator;

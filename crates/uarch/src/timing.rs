@@ -50,9 +50,7 @@ use fuleak_workloads::annotated::{
 /// spans more cycles (counted as a scratch growth). Kept small: the
 /// in-flight span is bounded by the ROB depth plus the longest memory
 /// round-trip (a few hundred cycles), and the ring is zeroed on every
-/// reset — a generous ring costs a large memset per point *and*, in
-/// the lane-batched kernel, multiplies across lanes into more
-/// resident scratch than the host's caches hold.
+/// reset — a generous ring costs a large memset per point.
 const FU_RING_INITIAL: usize = 1 << 10;
 
 /// A fixed-capacity reusable ring implementing the same contract as
@@ -115,11 +113,8 @@ impl FixedWindow {
 /// are kept); the ring window covers `[base, base + capacity)` and only
 /// ever needs to reach as far back as the in-order dispatch frontier,
 /// because every future allocation's ready time exceeds it.
-///
-/// Crate-visible so the lane-batched kernel ([`crate::batched`]) can
-/// hold one ring per lane as its per-lane occupancy slab.
 #[derive(Debug, Default)]
-pub(crate) struct FuRing {
+struct FuRing {
     units: usize,
     full: u16,
     rr: usize,
@@ -130,11 +125,11 @@ pub(crate) struct FuRing {
     live: usize,
     record_stats: bool,
     recorders: Vec<IdleCursor>,
-    pub(crate) growths: u64,
+    growths: u64,
 }
 
 impl FuRing {
-    pub(crate) fn reset(&mut self, units: usize, record_stats: bool) {
+    fn reset(&mut self, units: usize, record_stats: bool) {
         assert!(units > 0 && units <= 16);
         if self.buf.is_empty() {
             self.buf = vec![0; FU_RING_INITIAL];
@@ -209,7 +204,7 @@ impl FuRing {
     /// current dispatch frontier + 1); the ring retires up to it when
     /// it needs room.
     #[inline]
-    pub(crate) fn allocate(&mut self, ready: u64, retire_limit: u64) -> u64 {
+    fn allocate(&mut self, ready: u64, retire_limit: u64) -> u64 {
         debug_assert!(ready >= self.base);
         let mut cycle = ready;
         loop {
@@ -245,7 +240,7 @@ impl FuRing {
 
     /// Retires everything and returns `(idle spectra, active
     /// cycles)` per unit, each stream closed at `total_cycles`.
-    pub(crate) fn finish(&mut self, total_cycles: u64) -> (Vec<IntervalSpectrum>, Vec<u64>) {
+    fn finish(&mut self, total_cycles: u64) -> (Vec<IntervalSpectrum>, Vec<u64>) {
         while self.live > 0 {
             let slot = &mut self.buf[(self.base as usize) & self.mask];
             if *slot != 0 {
@@ -277,17 +272,17 @@ impl FuRing {
 /// with one contiguous `sets × ways` slab reset between points
 /// instead of per-set `Vec`s rebuilt per point.
 #[derive(Debug, Default)]
-pub(crate) struct FlatCache {
+struct FlatCache {
     sets: u64,
     ways: usize,
-    pub(crate) line_shift: u32,
+    line_shift: u32,
     /// `sets - 1` when `sets` is a power of two, else 0 (modulo path).
     set_mask: u64,
     /// `line + 1` per way, most recently used first; 0 is invalid.
     tags: Vec<u64>,
-    pub(crate) accesses: u64,
-    pub(crate) misses: u64,
-    pub(crate) growths: u64,
+    accesses: u64,
+    misses: u64,
+    growths: u64,
 }
 
 impl FlatCache {
@@ -351,8 +346,8 @@ impl FlatCache {
 /// Flat DTLB: a [`FlatCache`] over page numbers, mirroring
 /// [`crate::cache::Tlb`].
 #[derive(Debug, Default)]
-pub(crate) struct FlatTlb {
-    pub(crate) cache: FlatCache,
+struct FlatTlb {
+    cache: FlatCache,
     page_shift: u32,
     miss_latency: u64,
 }
@@ -380,10 +375,10 @@ impl FlatTlb {
 /// tracking — semantics identical to [`crate::cache::DataMemory`],
 /// state reused across points.
 #[derive(Debug)]
-pub(crate) struct FlatMemory {
-    pub(crate) l1: FlatCache,
-    pub(crate) l2: FlatCache,
-    pub(crate) tlb: FlatTlb,
+struct FlatMemory {
+    l1: FlatCache,
+    l2: FlatCache,
+    tlb: FlatTlb,
     mshrs: MissTracker,
     l1_latency: u64,
     l2_latency: u64,
@@ -397,7 +392,7 @@ pub(crate) struct FlatMemory {
     accesses_since_prune: u64,
     /// High-water capacities of the fill maps, for growth counting.
     fill_caps: (usize, usize),
-    pub(crate) growths: u64,
+    growths: u64,
 }
 
 impl Default for FlatMemory {
@@ -421,7 +416,7 @@ impl Default for FlatMemory {
 }
 
 impl FlatMemory {
-    pub(crate) fn reset(&mut self, cfg: &CoreConfig) {
+    fn reset(&mut self, cfg: &CoreConfig) {
         self.l1.reset_params(&cfg.l1d);
         self.l2.reset_params(&cfg.l2);
         self.tlb.reset(&cfg.dtlb);
@@ -437,7 +432,7 @@ impl FlatMemory {
 
     /// Performs a data access issued at `now`; returns the cycle the
     /// data is available (see [`crate::cache::DataMemory::access`]).
-    pub(crate) fn access(&mut self, addr: u64, now: u64) -> u64 {
+    fn access(&mut self, addr: u64, now: u64) -> u64 {
         self.maybe_prune(now);
         let start = now + self.tlb.translate(addr);
         let l1_line = addr >> self.l1.line_shift;
@@ -491,7 +486,7 @@ impl FlatMemory {
     }
 
     /// Folds any fill-map capacity growth into the growth counter.
-    pub(crate) fn note_growths(&mut self) {
+    fn note_growths(&mut self) {
         let caps = (self.l1_fills.capacity(), self.l2_fills.capacity());
         if caps.0 > self.fill_caps.0 {
             self.growths += 1;

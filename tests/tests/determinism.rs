@@ -254,3 +254,89 @@ fn policy_sweep_is_identical_across_worker_counts_and_pure_on_warm_caches() {
     assert_eq!(par.trace_cache().captures(), captures);
     assert!(par.policy_cache().hits() >= again.rows().len());
 }
+
+#[test]
+fn sibling_replay_is_identical_across_jobs_and_store_tiers() {
+    // One `prime` replays nine timing siblings per front-end geometry
+    // and a lone narrow-BTB gzip point, a geometry of its own that
+    // still shares gzip's trace. The rendered table and every cached
+    // result must not depend on the worker count or on where the
+    // store tier sits.
+    use fuleak_experiments::experiment::sweep_table;
+    use fuleak_experiments::ResultStore;
+    use std::sync::Arc;
+
+    let siblings = SweepSpec::new(BUDGET)
+        .benches(["gzip", "vpr"])
+        .axis_int_fus(1..=3)
+        .axis_l2_latency([12, 18, 24]);
+    let singleton = SweepSpec::new(BUDGET)
+        .benches(["gzip"])
+        .base(MachineConfig::derived(|c| c.btb_sets = 16).unwrap())
+        .axis_int_fus([2]);
+    let scenarios: Vec<Scenario> = siblings
+        .scenarios()
+        .into_iter()
+        .chain(singleton.scenarios())
+        .collect();
+    assert_eq!(scenarios.len(), 2 * 9 + 1);
+    let geometry = |s: &Scenario| (s.bench, s.machine.frontend_fingerprint());
+    assert!(scenarios[..9]
+        .iter()
+        .all(|s| geometry(s) == geometry(&scenarios[0])));
+    assert!(scenarios[..18]
+        .iter()
+        .all(|s| geometry(s) != geometry(&scenarios[18])));
+
+    // One `prime` over both specs, then both tables from the warm
+    // caches; returns the concatenated JSON and the engine.
+    let run = |jobs: usize, store: Option<Arc<ResultStore>>| {
+        let engine = Engine::new(jobs);
+        engine.set_store(store);
+        engine.prime(&scenarios);
+        let json = [&siblings, &singleton]
+            .map(|spec| sweep_table(&engine, spec).unwrap().to_json())
+            .concat();
+        (json, engine)
+    };
+
+    let (reference, oracle) = run(1, None);
+    for jobs in [1, 4] {
+        let root = std::env::temp_dir().join(format!(
+            "fuleak-determinism-store-{}-{jobs}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let open = || Some(Arc::new(ResultStore::open(&root).expect("open temp store")));
+
+        let (off, off_engine) = run(jobs, None);
+        let (cold, cold_engine) = run(jobs, open());
+        let (warm, warm_engine) = run(jobs, open());
+        let _ = std::fs::remove_dir_all(&root);
+
+        assert_eq!(off, reference, "store off, jobs {jobs}");
+        assert_eq!(cold, reference, "cold store, jobs {jobs}");
+        assert_eq!(warm, reference, "warm store, jobs {jobs}");
+        assert_eq!(cold_engine.stats().simulated(), scenarios.len());
+        assert_eq!(
+            warm_engine.stats().simulated(),
+            0,
+            "warm store re-simulated"
+        );
+        for engine in [&off_engine, &cold_engine, &warm_engine] {
+            for s in &scenarios {
+                assert_eq!(
+                    *engine.result(s.clone()),
+                    *oracle.result(s.clone()),
+                    "{s:?}"
+                );
+            }
+        }
+    }
+
+    // The replayed points equal the direct single-phase path: the
+    // first and last sibling of one geometry and the singleton.
+    for s in [&scenarios[0], &scenarios[8], &scenarios[18]] {
+        assert_eq!(*oracle.result(s.clone()), s.run().unwrap(), "{s:?}");
+    }
+}
