@@ -26,22 +26,18 @@ pub fn table1() -> ResultTable {
         ],
     );
     for g in GateCharacterization::table1() {
-        let eval = g.delays.evaluation.as_ps();
-        let dynamic = g.energies.dynamic.as_fj();
         let leak_lo = g.energies.leak_lo.as_fj();
-        let leak_hi = g.energies.leak_hi.as_fj();
         t.row([
             Cell::str(g.name),
-            Cell::float_text(eval, format!("{eval}")),
-            g.delays.sleep.map_or(Cell::str("na"), |s| {
-                Cell::float_text(s.as_ps(), format!("{}", s.as_ps()))
-            }),
-            Cell::float_text(dynamic, format!("{dynamic}")),
+            Cell::shortest(g.delays.evaluation.as_ps()),
+            g.delays
+                .sleep
+                .map_or(Cell::str("na"), |s| Cell::shortest(s.as_ps())),
+            Cell::shortest(g.energies.dynamic.as_fj()),
             Cell::float_text(leak_lo, format!("{leak_lo:.1e}")),
-            Cell::float_text(leak_hi, format!("{leak_hi}")),
+            Cell::shortest(g.energies.leak_hi.as_fj()),
             if g.has_sleep_mode {
-                let sw = g.energies.sleep_switch.as_fj();
-                Cell::float_text(sw, format!("{sw}"))
+                Cell::shortest(g.energies.sleep_switch.as_fj())
             } else {
                 Cell::str("na")
             },
@@ -119,7 +115,7 @@ pub fn fig3_table() -> ResultTable {
     for r in fig3() {
         t.row([
             Cell::int(r.interval as i64),
-            Cell::float_text(r.alpha, format!("{}", r.alpha)),
+            Cell::shortest(r.alpha),
             Cell::float(r.uncontrolled_pj, 3),
             Cell::float(r.sleep_pj, 3),
         ]);
@@ -224,7 +220,7 @@ pub fn fig4_policy_table(idle_interval: f64, usages: &[f64]) -> ResultTable {
     for r in fig4_policies(idle_interval, usages) {
         t.row([
             Cell::float(r.p, 2),
-            Cell::float_text(r.usage, format!("{}", r.usage)),
+            Cell::shortest(r.usage),
             Cell::float(r.always_active, 4),
             Cell::float(r.max_sleep, 4),
             Cell::float(r.no_overhead, 4),

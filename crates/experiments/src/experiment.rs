@@ -122,6 +122,15 @@ struct Entry {
     in_all: bool,
 }
 
+/// A paper table or figure, part of `repro all`.
+const fn paper(name: &'static str, build: fn(&mut Context<'_>) -> ResultTable) -> Entry {
+    Entry {
+        name,
+        build,
+        in_all: true,
+    }
+}
+
 impl Experiment for Entry {
     fn name(&self) -> &'static str {
         self.name
@@ -140,106 +149,50 @@ impl Experiment for Entry {
 
 /// Every experiment, in `repro all` order.
 static REGISTRY: [Entry; 15] = [
-    Entry {
-        name: "table1",
-        in_all: true,
-        build: |_| analytic::table1(),
-    },
-    Entry {
-        name: "table2",
-        in_all: true,
-        build: |_| empirical::table2(),
-    },
-    Entry {
-        name: "fig3",
-        in_all: true,
-        build: |_| analytic::fig3_table(),
-    },
-    Entry {
-        name: "fig4a",
-        in_all: true,
-        build: |_| analytic::fig4a_table(),
-    },
-    Entry {
-        name: "fig4b",
-        in_all: true,
-        build: |_| {
-            analytic::fig4_policy_table(10.0, &[0.1, 0.9])
-                .named("fig4b", "Figure 4b — policies, idle interval = 10 cycles")
-        },
-    },
-    Entry {
-        name: "fig4c",
-        in_all: true,
-        build: |_| {
-            analytic::fig4_policy_table(100.0, &[0.1, 0.9])
-                .named("fig4c", "Figure 4c — policies, idle interval = 100 cycles")
-        },
-    },
-    Entry {
-        name: "fig4d",
-        in_all: true,
-        build: |_| {
-            analytic::fig4_policy_table(1.0, &[0.5])
-                .named("fig4d", "Figure 4d — worst case, idle interval = 1 cycle")
-        },
-    },
-    Entry {
-        name: "fig5c",
-        in_all: true,
-        build: |_| analytic::fig5c_table(),
-    },
-    Entry {
-        name: "table3",
-        in_all: true,
-        build: |ctx| empirical::table3(ctx.suite(12)),
-    },
-    Entry {
-        name: "fig7",
-        in_all: true,
-        build: |ctx| {
-            let series12 = empirical::fig7(ctx.suite(12));
-            let series32 = empirical::fig7(ctx.suite(32));
-            let mut t = empirical::fig7_table(&[series12.clone(), series32.clone()]);
-            t.note(format!(
-                "suite-average idle fraction: {:.3} (L2=12; paper: 0.468), {:.3} (L2=32)",
-                series12.total_idle_fraction, series32.total_idle_fraction
-            ));
-            t
-        },
-    },
-    Entry {
-        name: "fig8a",
-        in_all: true,
-        build: |ctx| {
-            let suite = ctx.suite(12).clone();
-            empirical::fig8_table_on(ctx.engine(), &suite, 0.05, 0.5).named(
-                "fig8a",
-                "Figure 8a — normalized energy, p = 0.05 (alpha = 0.5)",
-            )
-        },
-    },
-    Entry {
-        name: "fig8b",
-        in_all: true,
-        build: |ctx| {
-            let suite = ctx.suite(12).clone();
-            empirical::fig8_table_on(ctx.engine(), &suite, 0.5, 0.5).named(
-                "fig8b",
-                "Figure 8b — normalized energy, p = 0.50 (alpha = 0.5)",
-            )
-        },
-    },
-    Entry {
-        name: "fig9a",
-        in_all: true,
-        build: |ctx| empirical::fig9a_table(ctx.fig9_rows()),
-    },
-    Entry {
-        name: "fig9b",
-        in_all: true,
-        build: |ctx| empirical::fig9b_table(ctx.fig9_rows()),
-    },
+    paper("table1", |_| analytic::table1()),
+    paper("table2", |_| empirical::table2()),
+    paper("fig3", |_| analytic::fig3_table()),
+    paper("fig4a", |_| analytic::fig4a_table()),
+    paper("fig4b", |_| {
+        analytic::fig4_policy_table(10.0, &[0.1, 0.9])
+            .named("fig4b", "Figure 4b — policies, idle interval = 10 cycles")
+    }),
+    paper("fig4c", |_| {
+        analytic::fig4_policy_table(100.0, &[0.1, 0.9])
+            .named("fig4c", "Figure 4c — policies, idle interval = 100 cycles")
+    }),
+    paper("fig4d", |_| {
+        analytic::fig4_policy_table(1.0, &[0.5])
+            .named("fig4d", "Figure 4d — worst case, idle interval = 1 cycle")
+    }),
+    paper("fig5c", |_| analytic::fig5c_table()),
+    paper("table3", |ctx| empirical::table3(ctx.suite(12))),
+    paper("fig7", |ctx| {
+        let series12 = empirical::fig7(ctx.suite(12));
+        let series32 = empirical::fig7(ctx.suite(32));
+        let mut t = empirical::fig7_table(&[series12.clone(), series32.clone()]);
+        t.note(format!(
+            "suite-average idle fraction: {:.3} (L2=12; paper: 0.468), {:.3} (L2=32)",
+            series12.total_idle_fraction, series32.total_idle_fraction
+        ));
+        t
+    }),
+    paper("fig8a", |ctx| {
+        let suite = ctx.suite(12).clone();
+        empirical::fig8_table_on(ctx.engine(), &suite, 0.05, 0.5).named(
+            "fig8a",
+            "Figure 8a — normalized energy, p = 0.05 (alpha = 0.5)",
+        )
+    }),
+    paper("fig8b", |ctx| {
+        let suite = ctx.suite(12).clone();
+        empirical::fig8_table_on(ctx.engine(), &suite, 0.5, 0.5).named(
+            "fig8b",
+            "Figure 8b — normalized energy, p = 0.50 (alpha = 0.5)",
+        )
+    }),
+    paper("fig9a", |ctx| empirical::fig9a_table(ctx.fig9_rows())),
+    paper("fig9b", |ctx| empirical::fig9b_table(ctx.fig9_rows())),
     Entry {
         name: "policy-ext",
         in_all: false, // beyond the paper: keeps `repro all` pinned
@@ -379,28 +332,33 @@ fn policy_sweep_table(
         ),
         columns,
     );
-    for (combo, s) in expanded {
-        for pt in &points {
+    // A policy point's model and form depend only on the point, and a
+    // machine's delta label only on the machine: price each once.
+    let priced: Vec<_> = points
+        .iter()
+        .map(|pt| {
             let model = pt
                 .model()
                 .expect("eval axis values are validated at build time");
-            let form = pt.policy.form(&model, pt.slices);
-            let run = engine.policy_run(&s, form, &model);
+            (pt, pt.policy.form(&model, pt.slices), model)
+        })
+        .collect();
+    for (combo, s) in expanded {
+        let machine = s.machine.delta_label();
+        for (pt, form, model) in &priced {
+            let run = engine.policy_run(&s, *form, model);
             let mut row = vec![Cell::str(s.bench)];
             row.extend(combo.iter().map(|&v| Cell::int(v as i64)));
-            row.push(Cell::str(s.machine.delta_label()));
+            row.push(Cell::str(machine.as_str()));
             row.push(Cell::str(pt.policy.name()));
             row.push(match form {
-                PolicyForm::GradualSleep { slices } => Cell::int(i64::from(slices)),
+                PolicyForm::GradualSleep { slices } => Cell::int(i64::from(*slices)),
                 _ => Cell::str("-"),
             });
-            row.push(Cell::float_text(pt.leak, format!("{}", pt.leak)));
-            row.push(Cell::float_text(
-                pt.transition,
-                format!("{}", pt.transition),
-            ));
+            row.push(Cell::shortest(pt.leak));
+            row.push(Cell::shortest(pt.transition));
             row.push(Cell::float(run.energy.total(), 1));
-            row.push(Cell::float(run.normalized_to_max(&model), 4));
+            row.push(Cell::float(run.normalized_to_max(model), 4));
             row.push(Cell::float(run.energy.leakage_fraction().unwrap_or(0.0), 4));
             row.push(Cell::float(run.transitions_equiv, 1));
             t.row(row);
@@ -513,8 +471,8 @@ mod tests {
         // The resolved GradualSleep slice count is echoed; MaxSleep
         // rows carry the placeholder.
         let slices_col = t.columns().iter().position(|c| c == "slices").unwrap();
-        let texts: Vec<&str> = t.rows().iter().map(|r| r[slices_col].text()).collect();
-        assert!(texts.contains(&"2") && texts.contains(&"8") && texts.contains(&"-"));
+        let texts: Vec<_> = t.rows().iter().map(|r| r[slices_col].text()).collect();
+        assert!(["2", "8", "-"].iter().all(|s| texts.iter().any(|t| t == s)));
 
         // Re-running the same eval sweep is pure cache replay.
         let again = sweep_table(&engine, &eval_spec).unwrap();

@@ -543,7 +543,6 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
         Some(s) => Cell::int(i64::from(s)),
         None => Cell::str("-"),
     };
-    let knob = |v: f64| Cell::float_text(v, format!("{v}"));
 
     let mut optima = ResultTable::new(
         "explore-optima",
@@ -565,8 +564,8 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
                 Cell::int(run.fus as i64),
                 Cell::str(family.name()),
                 slices_cell(p.combo_i),
-                knob(spec.leaks[p.leak_i]),
-                knob(spec.transitions[p.trans_i]),
+                Cell::shortest(spec.leaks[p.leak_i]),
+                Cell::shortest(spec.transitions[p.trans_i]),
                 Cell::float(best_energy[slot], 1),
                 Cell::float(p.ratio, 4),
                 Cell::float(p.trans, 1),
@@ -597,8 +596,8 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
                 Cell::str(run.name),
                 Cell::str(combos[p.combo_i].0.name()),
                 slices_cell(p.combo_i),
-                knob(spec.leaks[p.leak_i]),
-                knob(spec.transitions[p.trans_i]),
+                Cell::shortest(spec.leaks[p.leak_i]),
+                Cell::shortest(spec.transitions[p.trans_i]),
                 Cell::float(p.ratio, 4),
                 Cell::float(p.trans, 1),
             ]);
@@ -624,7 +623,7 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
         }
         if let Some((s, sum)) = winner {
             crossover.row([
-                knob(leak),
+                Cell::shortest(leak),
                 Cell::int(i64::from(s)),
                 Cell::float(sum / cell_points, 4),
             ]);

@@ -1,4 +1,5 @@
-//! Minimal fixed-width table rendering shared by all experiments.
+//! Minimal fixed-width table rendering: the reference layout the
+//! [`crate::result::ResultTable::render`] view reproduces.
 
 /// A simple text table with a header row.
 #[derive(Debug, Clone, Default)]

@@ -241,12 +241,15 @@ impl ResponseCache {
         self.insert(key, body)
     }
 
-    fn insert(&self, key: &[u8], body: Vec<u8>) -> Arc<Vec<u8>> {
-        let body = Arc::new(body);
+    fn insert(&self, key: &[u8], mut body: Vec<u8>) -> Arc<Vec<u8>> {
         if body.len() > self.capacity {
             // Larger than the whole budget: serve it, don't cache it.
-            return body;
+            return Arc::new(body);
         }
+        // The budget charges `len()`, so a render's spare capacity
+        // would stay resident uncharged: keep exactly the bytes.
+        body.shrink_to_fit();
+        let body = Arc::new(body);
         let addr = fuleak_core::codec::fnv1a(key);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut inner = lock_unpoisoned(&self.inner);
@@ -380,6 +383,21 @@ mod tests {
         assert_eq!(*again, body, "cached bytes must be identical");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn stored_bodies_keep_no_spare_capacity() {
+        let cache = ResponseCache::new(1 << 20);
+        let key = experiment_key("table3", Budget::Quick, BodyFormat::Json);
+        let mut body = Vec::with_capacity(4096);
+        body.extend_from_slice(&[7; 1024]);
+        assert_eq!(body.capacity(), 4 * body.len());
+        let served = cache.put(&key, body);
+        assert_eq!(served.capacity(), served.len());
+        let stored = cache.get(&key).expect("cached");
+        assert!(Arc::ptr_eq(&served, &stored));
+        assert_eq!(stored.capacity(), 1024);
+        assert_eq!(cache.bytes(), 1024);
     }
 
     #[test]
