@@ -1467,22 +1467,26 @@ impl GridEval {
         // Parameterless families first: one lane per item per family,
         // vectorized over the batch (the per-entry, per-lane deltas
         // are exactly the scalar evaluator's per-interval values times
-        // the entry count, added in the same ascending order).
-        fam_pass(
-            f_lh,
-            f_ll,
-            f_trn,
-            f_ovh,
-            f_uie,
-            f_slp,
-            f_teq,
-            &self.fam_ui_lh,
-            &self.fam_ui_ll,
-            &self.fam_sl_ll,
-            &self.fam_tr_t,
-            &self.fam_tr_o,
-            entries,
-        );
+        // the entry count, added in the same ascending order). A batch
+        // with no such form (TimeoutSleep/AdaptiveSleep only) skips the
+        // pass: no output slot reads those lanes.
+        if !(self.aa.is_empty() && self.ms.is_empty() && self.no.is_empty()) {
+            fam_pass(
+                f_lh,
+                f_ll,
+                f_trn,
+                f_ovh,
+                f_uie,
+                f_slp,
+                f_teq,
+                &self.fam_ui_lh,
+                &self.fam_ui_ll,
+                &self.fam_sl_ll,
+                &self.fam_tr_t,
+                &self.fam_tr_o,
+                entries,
+            );
+        }
         // Parameterized families next. The rolling partition points
         // into the sorted lane arrays — the saturated GradualSleep
         // prefix and the sleeping TimeoutSleep prefix — only ever
@@ -1668,6 +1672,40 @@ impl GridEval {
             }
         }
         &self.out
+    }
+}
+
+/// Assembles the run of technology item `(p_i, E_slp_j)` from two runs
+/// of the **same** [`PolicyForm`] priced against the same spectra: one
+/// at `(p_i, E_slp_0)` (the leak row) and one at `(p_0, E_slp_j)` (the
+/// transition row), with `k`, `d` and `α` equal in all three models.
+///
+/// Exact, not approximate: every evaluator above builds each field
+/// from a seed and a chain of `+=`s that read only the model constants
+/// in this table, so for a fixed form each field is a function of one
+/// knob or of none, and the assembled run is bit-identical to pricing
+/// `(p_i, E_slp_j)` directly.
+///
+/// | field | model constants read | depends on | taken from |
+/// |---|---|---|---|
+/// | `energy.leak_hi` | `active.leak_hi`, `ui.leak_hi` | `p` | leak row |
+/// | `energy.leak_lo` | `active.leak_lo`, `ui.leak_lo`, `sl.leak_lo` | `p` | leak row |
+/// | `energy.overhead` | `tr.overhead` | `E_slp` | transition row |
+/// | `energy.dynamic` | `active.dynamic` (`α`) | neither | leak row |
+/// | `energy.transition` | `tr.transition` (`1 - α`) | neither | leak row |
+/// | `active_cycles`, `*_equiv` | none | neither | leak row |
+///
+/// The form's own parameters must not vary between the rows — a
+/// TimeoutSleep timeout or AdaptiveSleep breakeven derived per model
+/// does, so such forms are priced per item instead. This is lane
+/// deduplication, not reassociation: no `f64` operation changes.
+pub fn assemble_axis_run(leak_row: &PolicyRun, transition_row: &PolicyRun) -> PolicyRun {
+    PolicyRun {
+        energy: NormalizedEnergy {
+            overhead: transition_row.energy.overhead,
+            ..leak_row.energy
+        },
+        ..*leak_row
     }
 }
 

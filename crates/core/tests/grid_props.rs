@@ -8,10 +8,17 @@
 //! mixed policy families × grid sizes (1 up to past the family count,
 //! duplicates included) and compare every `f64` by bit pattern,
 //! including degenerate spectra (empty, single-length) and interval
-//! lengths past the saturated-rewrite exactness threshold.
+//! lengths past the saturated-rewrite exactness threshold. Every case
+//! also draws TimeoutSleep-only and AdaptiveSleep-only grids, whose
+//! traversals skip the parameterless-family pass.
+//!
+//! The axis-assembly properties pin the explorer's field-dependence
+//! rule: a run at `(p_i, E_slp_j)` is the run at `(p_i, E_slp_0)` with
+//! `energy.overhead` taken from the run at `(p_0, E_slp_j)`.
 
 use fuleak_core::accounting::PolicyRun;
-use fuleak_core::policy_eval::{spectrum_run, GridEval, PolicyForm};
+use fuleak_core::policy_eval::{assemble_axis_run, spectrum_run, GridEval, PolicyForm};
+use fuleak_core::tech::{DEFAULT_DUTY_CYCLE, DEFAULT_LEAK_RATIO};
 use fuleak_core::{breakeven_interval, EnergyModel, IntervalSpectrum, TechnologyParams};
 use proptest::prelude::*;
 
@@ -82,6 +89,24 @@ prop_compose! {
     }
 }
 
+/// Which forms a case draws: the whole pool, or one of the
+/// single-family pools whose grids have no parameterless lane.
+fn family_filter() -> impl Strategy<Value = Option<&'static str>> {
+    prop_oneof![
+        Just(None),
+        Just(None),
+        Just(Some("TimeoutSleep")),
+        Just(Some("AdaptiveSleep")),
+    ]
+}
+
+/// [`form_pool`] restricted to one family (`None`: every family).
+fn pool_of(model: &EnergyModel, family: Option<&str>) -> Vec<PolicyForm> {
+    let mut pool = form_pool(model);
+    pool.retain(|form| family.is_none_or(|name| form.name() == name));
+    pool
+}
+
 /// The pool grids draw from: every family, parameter variety included.
 fn form_pool(model: &EnergyModel) -> Vec<PolicyForm> {
     let be = breakeven_interval(model);
@@ -130,10 +155,11 @@ proptest! {
         workload in workload(),
         model in model_point(),
         picks in proptest::collection::vec(0usize..1000, 1..18),
+        family in family_filter(),
     ) {
         let (intervals, active) = workload;
         let spectrum = IntervalSpectrum::from_lengths(&intervals);
-        let pool = form_pool(&model);
+        let pool = pool_of(&model, family);
         let forms: Vec<PolicyForm> =
             picks.iter().map(|&ix| pool[ix % pool.len()]).collect();
         check_grid(&model, &forms, active, &spectrum)?;
@@ -147,8 +173,9 @@ proptest! {
         length in prop_oneof![Just(1u64), 2u64..5000, (1u64 << 52)..(1u64 << 53)],
         count in 1u64..40,
         active in 0u64..100,
+        family in family_filter(),
     ) {
-        let pool = form_pool(&model);
+        let pool = pool_of(&model, family);
         check_grid(&model, &pool, active, &IntervalSpectrum::default())?;
         let mut single = IntervalSpectrum::default();
         single.record_n(length, count);
@@ -161,8 +188,9 @@ proptest! {
     fn warm_kernel_reruns_reproduce(
         workloads in proptest::collection::vec(workload(), 1..5),
         model in model_point(),
+        family in family_filter(),
     ) {
-        let pool = form_pool(&model);
+        let pool = pool_of(&model, family);
         let mut warm = GridEval::new(&model, &pool);
         for (intervals, active) in workloads {
             let spectrum = IntervalSpectrum::from_lengths(&intervals);
@@ -185,12 +213,13 @@ proptest! {
         item_picks in proptest::collection::vec(
             proptest::collection::vec(0usize..1000, 1..8),
             1..6),
+        family in family_filter(),
     ) {
         let pools: Vec<(EnergyModel, Vec<PolicyForm>)> = models
             .iter()
             .zip(item_picks.iter().cycle())
             .map(|(model, picks)| {
-                let pool = form_pool(model);
+                let pool = pool_of(model, family);
                 let forms = picks.iter().map(|&ix| pool[ix % pool.len()]).collect();
                 (*model, forms)
             })
@@ -215,6 +244,83 @@ proptest! {
                     i += 1;
                 }
             }
+        }
+    }
+
+    /// Axis assembly: for forms whose parameters do not vary, the run
+    /// at `(p_i, E_slp_j)`, summed over FU spectra in FU order, is the
+    /// `(p_i, E_slp_0)` run with `energy.overhead` from the
+    /// `(p_0, E_slp_j)` run — bit for bit against the kernel (the
+    /// three models in one batch) and against `spectrum_run`. Knobs
+    /// include both ends of `[0, 1]`.
+    #[test]
+    fn axis_assembly_equals_direct_pricing(
+        fus in proptest::collection::vec(workload(), 1..4),
+        p_i in knob(),
+        p_0 in knob(),
+        e_j in knob(),
+        e_0 in knob(),
+        alpha in 0.05f64..=0.95,
+        picks in proptest::collection::vec(0usize..1000, 1..12),
+    ) {
+        let (leak, trans, direct) = (
+            model_at(p_i, e_0, alpha),
+            model_at(p_0, e_j, alpha),
+            model_at(p_i, e_j, alpha),
+        );
+        let pool = form_pool(&model_at(0.5, 0.5, alpha));
+        let forms: Vec<PolicyForm> = picks.iter().map(|&ix| pool[ix % pool.len()]).collect();
+        let n = forms.len();
+        let mut grid = GridEval::new_batch(&[(&leak, &forms), (&trans, &forms), (&direct, &forms)]);
+        let mut totals = vec![PolicyRun::default(); 3 * n];
+        let mut scalar = vec![PolicyRun::default(); n];
+        for (intervals, active) in &fus {
+            let spectrum = IntervalSpectrum::from_lengths(intervals);
+            for (total, run) in totals.iter_mut().zip(grid.run(*active, &spectrum)) {
+                *total += *run;
+            }
+            for (total, form) in scalar.iter_mut().zip(&forms) {
+                *total += spectrum_run(&direct, *form, *active, &spectrum);
+            }
+        }
+        for k in 0..n {
+            let got = assemble_axis_run(&totals[k], &totals[n + k]);
+            prop_assert_eq!(bits(&got), bits(&totals[2 * n + k]));
+            prop_assert_eq!(bits(&got), bits(&scalar[k]));
+        }
+    }
+}
+
+/// A knob in `[0, 1]`, with both ends drawn often.
+fn knob() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0]
+}
+
+/// An energy model at leakage factor `p`, sleep overhead `e_sleep` and
+/// activity `alpha` (paper defaults for `k` and `d`, as the explorer).
+fn model_at(p: f64, e_sleep: f64, alpha: f64) -> EnergyModel {
+    let tech = TechnologyParams::new(p, DEFAULT_LEAK_RATIO, e_sleep, DEFAULT_DUTY_CYCLE)
+        .expect("knobs lie in [0, 1]");
+    EnergyModel::new(tech, alpha).expect("alpha in range")
+}
+
+/// The assembly check has teeth: taking a knob-dependent field from
+/// the wrong row yields a run that differs from direct pricing, so
+/// the bitwise comparison above would catch such a rule.
+#[test]
+fn axis_assembly_detects_a_field_from_the_wrong_row() {
+    let (p_i, p_0, e_j, e_0) = (0.7, 0.2, 0.9, 0.1);
+    let spectrum = IntervalSpectrum::from_lengths(&[1, 3, 3, 40, 500]);
+    for form in [PolicyForm::MaxSleep, PolicyForm::GradualSleep { slices: 4 }] {
+        let price = |p, e| spectrum_run(&model_at(p, e, 0.5), form, 50, &spectrum);
+        let (leak, trans, direct) = (price(p_i, e_0), price(p_0, e_j), price(p_i, e_j));
+        assert_eq!(bits(&assemble_axis_run(&leak, &trans)), bits(&direct));
+        let mut wrong = [leak, leak, leak];
+        wrong[0].energy.leak_hi = trans.energy.leak_hi;
+        wrong[1].energy.leak_lo = trans.energy.leak_lo;
+        // `wrong[2]` keeps the leak row's overhead.
+        for run in &wrong {
+            assert_ne!(bits(run), bits(&direct), "{form:?}");
         }
     }
 }

@@ -11,7 +11,23 @@
 //! materialized row list is gigabytes.
 //!
 //! This module prices the grid with [`GridEval`] — G policy forms per
-//! spectrum traversal — and streams three digests instead of rows:
+//! spectrum traversal — in two phases, and streams three digests
+//! instead of rows:
+//!
+//! 1. **axis rows** — a model-free form (AlwaysActive, MaxSleep,
+//!    NoOverhead, GradualSleep with explicit slices) prices every
+//!    field of its run from one knob: `energy.overhead` from the
+//!    transition cost, everything else from the leakage factor (or
+//!    from neither). Each benchmark prices those forms once per
+//!    leakage value and once per transition value, and every grid
+//!    item's run is assembled field by field
+//!    ([`assemble_axis_run`]) — lane deduplication, bit-identical to
+//!    pricing the item;
+//! 2. **grid items** — TimeoutSleep and AdaptiveSleep take their
+//!    parameters from each item's breakeven interval, so they are
+//!    priced per item, through the same kernel.
+//!
+//! The digests:
 //!
 //! * **optima** — the best `E/E_max` cell per benchmark × policy
 //!   family;
@@ -27,8 +43,10 @@
 //! transition cost), independent of the worker count: every chunk
 //! folds its items into an accumulator sequentially, and the main
 //! thread merges chunk accumulators in chunk order — so output is
-//! byte-identical for any `--jobs N`, with `O(frontier)` memory, and
-//! the [`crate::policy::PolicyCache`] is deliberately bypassed
+//! byte-identical for any `--jobs N`. Memory is `O(frontier)` plus
+//! the axis rows, `O(benchmarks × (leaks + transitions) × forms)`, all
+//! dropped when the call returns; the
+//! [`crate::policy::PolicyCache`] is deliberately bypassed
 //! (compute is cheaper than memoization at this density; the cache
 //! stays for the sweep path).
 
@@ -38,7 +56,7 @@ use crate::result::{Cell, ResultTable};
 use crate::scenario::{parallel_map, Engine, SweepSpec, FU_CANDIDATES};
 use fuleak_core::accounting::PolicyRun;
 use fuleak_core::fxhash::FxHashSet;
-use fuleak_core::policy_eval::{GridEval, PolicyForm};
+use fuleak_core::policy_eval::{assemble_axis_run, GridEval, PolicyForm};
 use fuleak_core::tech::{DEFAULT_DUTY_CYCLE, DEFAULT_LEAK_RATIO};
 use fuleak_core::{EnergyModel, TechnologyParams};
 use fuleak_workloads::Benchmark;
@@ -259,8 +277,7 @@ impl ExploreSpec {
     }
 
     /// Technology items in the grid: benchmarks × leaks × transitions
-    /// (each prices [`ExploreSpec::form_combos`] forms in one
-    /// [`GridEval`] pass per FU).
+    /// (each holds one point per [`ExploreSpec::form_combos`] entry).
     pub fn items(&self) -> usize {
         self.benches.len() * self.leaks.len() * self.transitions.len()
     }
@@ -346,6 +363,45 @@ pub struct ExploreResult {
     pub points: u64,
 }
 
+/// Where a combo's total comes from for a grid item.
+#[derive(Debug, Clone, Copy)]
+enum ComboSrc {
+    /// Model-free form `a`: assembled from the item's axis rows.
+    Axis(usize),
+    /// Model-dependent form `k`: priced per item.
+    Item(usize),
+}
+
+/// Prices one group of technology items against one benchmark's FU
+/// spectra — one [`GridEval`] traversal per FU for the whole group,
+/// re-targeting `grid` when it already exists — into `totals`,
+/// item-major. Per-FU accumulation in FU order is the exact
+/// association `policy_energy_of` uses, so every total is bit-identical
+/// to the scalar `spectrum_run` path. Returns the traversal count.
+fn price_group(
+    grid: &mut Option<GridEval>,
+    run: &BenchRun,
+    batch: &[(&EnergyModel, &[PolicyForm])],
+    totals: &mut Vec<PolicyRun>,
+) -> usize {
+    let grid = match grid {
+        Some(grid) => {
+            grid.renew_batch(batch);
+            grid
+        }
+        none => none.insert(GridEval::new_batch(batch)),
+    };
+    totals.clear();
+    totals.resize(grid.grid_len(), PolicyRun::default());
+    let sim = &run.sim;
+    for (fu, spectrum) in sim.fu_idle.iter().enumerate() {
+        for (total, run) in totals.iter_mut().zip(grid.run(sim.fu_active[fu], spectrum)) {
+            *total += *run;
+        }
+    }
+    sim.fu_idle.len()
+}
+
 /// Builds the energy model of one technology item (paper defaults for
 /// the leak ratio and duty cycle, [`EVAL_ALPHA`] activity).
 fn model_at(leak: f64, transition: f64) -> EnergyModel {
@@ -356,12 +412,13 @@ fn model_at(leak: f64, transition: f64) -> EnergyModel {
 
 /// Runs one exploration: simulates the substrate (each benchmark at
 /// its paper-selected FU count, through the engine's caches as
-/// usual), then prices the whole grid with [`GridEval`] — one kernel
-/// per technology item, one spectrum traversal per FU for all G
-/// forms, no [`crate::policy::PolicyCache`] traffic — and folds the
-/// three digests. Output is byte-identical for any engine worker
-/// count; grid batch/point counters land in
-/// [`crate::scenario::EngineStats`].
+/// usual), then prices the grid with [`GridEval`] — the model-free
+/// forms once per axis value, the breakeven-derived forms per
+/// technology item, one spectrum traversal per FU per kernel group,
+/// no [`crate::policy::PolicyCache`] traffic — and folds the three
+/// digests. Output is byte-identical for any engine worker count;
+/// grid counters land in [`crate::scenario::EngineStats`]: the points
+/// of the full product, and the traversals that actually ran.
 pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     // Substrate: fan the FU-candidate points out across workers, then
     // apply the selection rule per benchmark from the warm cache.
@@ -406,7 +463,76 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
         }));
     }
 
+    // Where each combo's per-item total comes from: a model-free form
+    // prices separably over the technology axes, so its total is
+    // assembled from the benchmark's axis rows; the rest are priced
+    // per item.
+    let (mut axis_forms, mut item_combos) = (Vec::new(), Vec::new());
+    let corner = model_at(spec.leaks[0], spec.transitions[0]);
+    let combo_src: Vec<ComboSrc> = combos
+        .iter()
+        .enumerate()
+        .map(|(combo_i, &(kind, slices))| {
+            if kind.model_free(slices) {
+                axis_forms.push(kind.form(&corner, slices));
+                ComboSrc::Axis(axis_forms.len() - 1)
+            } else {
+                item_combos.push(combo_i);
+                ComboSrc::Item(item_combos.len() - 1)
+            }
+        })
+        .collect();
+    let (n_axis, n_item) = (axis_forms.len(), item_combos.len());
+
+    // Phase 1, the axis rows: per benchmark, the model-free forms at
+    // the cross items — leak row `i` at `(leak_i, trans_0)`, then
+    // transition row `n_leak + j` at `(leak_0, trans_j)` — in chunks
+    // of `CHUNK_ITEMS` rows. Lanes are independent, so the rows depend
+    // on neither the partition nor the worker count.
     let (n_leak, n_trans) = (spec.leaks.len(), spec.transitions.len());
+    let n_cross = n_leak + n_trans;
+    let cross_model = |r: usize| match r.checked_sub(n_leak) {
+        Some(j) => model_at(spec.leaks[0], spec.transitions[j]),
+        None => model_at(spec.leaks[r], spec.transitions[0]),
+    };
+    let units: Vec<(usize, usize, usize)> = if n_axis == 0 {
+        Vec::new()
+    } else {
+        (0..runs.len())
+            .flat_map(|bench_i| {
+                (0..n_cross)
+                    .step_by(CHUNK_ITEMS)
+                    .map(move |r| (bench_i, r, (r + CHUNK_ITEMS).min(n_cross)))
+            })
+            .collect()
+    };
+    let axis_parts = parallel_map(engine.jobs(), units, |(bench_i, start, end)| {
+        let mut grid: Option<GridEval> = None;
+        let mut totals: Vec<PolicyRun> = Vec::new();
+        let mut rows = Vec::with_capacity((end - start) * n_axis);
+        let mut batches = 0;
+        for g in (start..end).step_by(GridEval::PREFERRED_BATCH) {
+            let g_end = end.min(g + GridEval::PREFERRED_BATCH);
+            let models: Vec<EnergyModel> = (g..g_end).map(cross_model).collect();
+            let batch: Vec<(&EnergyModel, &[PolicyForm])> = models
+                .iter()
+                .map(|model| (model, axis_forms.as_slice()))
+                .collect();
+            batches += price_group(&mut grid, &runs[bench_i], &batch, &mut totals);
+            rows.extend_from_slice(&totals);
+        }
+        (rows, batches)
+    });
+    let mut axis_rows: Vec<PolicyRun> = Vec::with_capacity(runs.len() * n_cross * n_axis);
+    let mut batches = 0;
+    for (rows, unit_batches) in axis_parts {
+        axis_rows.extend(rows);
+        batches += unit_batches;
+    }
+    let axis_row =
+        |bench_i: usize, r: usize| &axis_rows[(bench_i * n_cross + r) * n_axis..][..n_axis];
+
+    // Phase 2, the grid items, in fixed chunks of the canonical order.
     let n_items = spec.items();
     let chunks: Vec<(usize, usize)> = (0..n_items)
         .step_by(CHUNK_ITEMS)
@@ -425,13 +551,11 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
         let mut models: Vec<EnergyModel> = Vec::with_capacity(GridEval::PREFERRED_BATCH);
         let mut forms_buf: Vec<Vec<PolicyForm>> = Vec::new();
         let mut totals: Vec<PolicyRun> = Vec::new();
-        // One kernel per chunk, re-targeted per GROUP of up to
-        // `PREFERRED_BATCH` consecutive same-benchmark items (they
-        // share spectra, so one traversal prices the whole group);
-        // `renew_batch` reuses the lane allocations and (the slice set
-        // being fixed) the ramp tables across the chunk's groups.
-        // Group segmentation depends only on item indices, so shard
-        // boundaries never move with the worker count.
+        // One kernel per chunk for the per-item forms, re-targeted per
+        // GROUP of up to `PREFERRED_BATCH` consecutive same-benchmark
+        // items (they share spectra, so one traversal prices the whole
+        // group). Group segmentation depends only on item indices, so
+        // shard boundaries never move with the worker count.
         let mut grid: Option<GridEval> = None;
         let mut item = start;
         while item < end {
@@ -444,44 +568,37 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
                 let trans_i = it % n_trans;
                 models.push(model_at(spec.leaks[leak_i], spec.transitions[trans_i]));
             }
-            while forms_buf.len() < models.len() {
-                forms_buf.push(Vec::with_capacity(combos.len()));
-            }
-            for (model, forms) in models.iter().zip(forms_buf.iter_mut()) {
-                forms.clear();
-                forms.extend(combos.iter().map(|&(k, s)| k.form(model, s)));
-            }
-            let batch: Vec<(&EnergyModel, &[PolicyForm])> = models
-                .iter()
-                .zip(forms_buf.iter())
-                .map(|(model, forms)| (model, forms.as_slice()))
-                .collect();
-            let grid = match &mut grid {
-                Some(grid) => {
-                    grid.renew_batch(&batch);
-                    grid
+            if n_item > 0 {
+                while forms_buf.len() < models.len() {
+                    forms_buf.push(Vec::with_capacity(n_item));
                 }
-                none => none.insert(GridEval::new_batch(&batch)),
-            };
-            // Per-FU accumulation in FU order — the exact association
-            // `policy_energy_of` uses, so every total is bit-identical
-            // to the scalar `spectrum_run` path.
-            totals.clear();
-            totals.resize(grid.grid_len(), PolicyRun::default());
-            let sim = &runs[bench_i].sim;
-            for (fu, spectrum) in sim.fu_idle.iter().enumerate() {
-                for (total, run) in totals.iter_mut().zip(grid.run(sim.fu_active[fu], spectrum)) {
-                    *total += *run;
+                for (model, forms) in models.iter().zip(forms_buf.iter_mut()) {
+                    forms.clear();
+                    forms.extend(item_combos.iter().map(|&c| {
+                        let (kind, slices) = combos[c];
+                        kind.form(model, slices)
+                    }));
                 }
-                fold.batches += 1;
+                let batch: Vec<(&EnergyModel, &[PolicyForm])> = models
+                    .iter()
+                    .zip(forms_buf.iter())
+                    .map(|(model, forms)| (model, forms.as_slice()))
+                    .collect();
+                fold.batches += price_group(&mut grid, &runs[bench_i], &batch, &mut totals);
             }
             for (g_i, it) in (item..g_end).enumerate() {
                 let leak_i = it / n_trans % n_leak;
                 let trans_i = it % n_trans;
                 let model = &models[g_i];
+                let leak_row = axis_row(bench_i, leak_i);
+                let trans_row = axis_row(bench_i, n_leak + trans_i);
+                let item_totals = &totals[g_i * n_item..(g_i + 1) * n_item];
                 fold.points += combos.len() as u64;
-                let item_totals = &totals[g_i * combos.len()..(g_i + 1) * combos.len()];
-                for (combo_i, total) in item_totals.iter().enumerate() {
+                for (combo_i, src) in combo_src.iter().enumerate() {
+                    let total = match *src {
+                        ComboSrc::Axis(a) => assemble_axis_run(&leak_row[a], &trans_row[a]),
+                        ComboSrc::Item(k) => item_totals[k],
+                    };
                     let p = GridPoint {
                         ratio: total.normalized_to_max(model),
                         trans: total.transitions_equiv,
@@ -514,7 +631,7 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     let mut best_energy = vec![0.0; runs.len() * families.len()];
     let mut frontiers: Vec<Vec<GridPoint>> = vec![Vec::new(); runs.len()];
     let mut sums = vec![0.0; n_leak * gradual_slices.len()];
-    let (mut batches, mut points) = (0usize, 0u64);
+    let mut points = 0u64;
     for fold in folds {
         for (slot, p) in fold.best.into_iter().enumerate() {
             if let Some(p) = p {
@@ -642,6 +759,7 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
 mod tests {
     use super::*;
     use crate::policy::policy_energy_of;
+    use crate::result::Value;
 
     #[test]
     fn default_grid_prices_over_a_million_points() {
@@ -730,61 +848,109 @@ mod tests {
         assert_eq!(g[0].combo_i, 7);
     }
 
-    /// A tiny grid, explored end-to-end: the optima agree with a
-    /// brute-force scalar scan over the same canonical order, and the
-    /// whole output is byte-identical across worker counts.
+    /// Tiny grids, explored end-to-end: every optimum — its grid
+    /// point, `E/E_D`, `E/E_max` and transitions, by bit pattern —
+    /// agrees with a brute-force scalar scan over the same canonical
+    /// order, the traversal count is the axis groups plus the per-item
+    /// groups, and the whole output is byte-identical across worker
+    /// counts. The grids mix axis-priced and per-item families, put 0
+    /// and 1 on the knobs, and include one-value axes; no axis starts
+    /// at its optimum, so a row taken from the wrong axis value shows.
     #[test]
     fn explore_matches_scalar_scan_and_is_jobs_invariant() {
-        let spec = ExploreSpec::new(Budget::Custom(5_000))
+        let base = ExploreSpec::new(Budget::Custom(5_000))
             .benches(["mst", "gzip"])
-            .policies([PolicyKind::MaxSleep, PolicyKind::GradualSleep])
-            .slices([2, 8])
-            .leaks([0.05, 0.5])
-            .transitions([0.01, 0.2]);
+            .policies([
+                PolicyKind::MaxSleep,
+                PolicyKind::GradualSleep,
+                PolicyKind::TimeoutSleep,
+                PolicyKind::AdaptiveSleep,
+                PolicyKind::NoOverhead,
+            ])
+            .slices([2, 8]);
+        let specs = [
+            base.clone()
+                .leaks([0.5, 0.05])
+                .transitions([0.2, 0.01, 1.0]),
+            base.clone().leaks([0.3]).transitions([0.2, 0.0]),
+            base.clone().leaks([1.0, 0.0, 0.3]).transitions([0.1]),
+            base.policies([PolicyKind::GradualSleep, PolicyKind::AlwaysActive])
+                .leaks([0.05, 0.5])
+                .transitions([0.01, 0.2]),
+        ];
+        let bits = |cell: &Cell| match cell.value {
+            Value::Float(f) => f.to_bits(),
+            ref other => panic!("expected a float cell, got {other:?}"),
+        };
         let engine = Engine::new(4);
-        let result = explore(&engine, &spec);
-        assert_eq!(result.points, 2 * 2 * 2 * 3);
-        let stats = engine.stats();
-        assert_eq!(stats.grid_points, result.points);
-        assert!(stats.grid_batches > 0);
+        for spec in &specs {
+            let before = engine.stats();
+            let result = explore(&engine, spec);
+            let stats = engine.stats().since(&before);
+            let combos = spec.form_combos();
+            let (n_leak, n_trans) = (spec.leak_values().len(), spec.transition_values().len());
+            assert_eq!(result.points, spec.points());
+            assert_eq!(stats.grid_points, result.points);
 
-        // Brute force with the scalar evaluator, same canonical order.
-        let combos = spec.form_combos();
-        let mut expected: Vec<(f64, f64)> = Vec::new(); // (ratio, trans) per best slot
-        for name in ["mst", "gzip"] {
-            let bench = Benchmark::by_name(name).unwrap();
-            let run = run_benchmark_on(&engine, bench, EXPLORE_L2, spec.budget());
-            for family in [PolicyKind::MaxSleep, PolicyKind::GradualSleep] {
-                let mut best: Option<(f64, f64)> = None;
-                for &leak in &[0.05, 0.5] {
-                    for &tr in &[0.01, 0.2] {
-                        for &(kind, slices) in &combos {
-                            if kind != family {
-                                continue;
-                            }
+            // Brute force with the scalar evaluator, same canonical order.
+            let mut expected = Vec::new();
+            let mut traversals = 0;
+            for name in spec.bench_names() {
+                let bench = Benchmark::by_name(name).unwrap();
+                let run = run_benchmark_on(&engine, bench, EXPLORE_L2, spec.budget());
+                // Each grid fits one chunk: the axis rows and the
+                // benchmark's items each split into groups of
+                // `PREFERRED_BATCH`, one traversal per FU per group.
+                let groups = |n: usize| n.div_ceil(GridEval::PREFERRED_BATCH);
+                let per_item = combos.iter().any(|&(k, s)| !k.model_free(s));
+                traversals += run.sim.fu_idle.len()
+                    * (groups(n_leak + n_trans)
+                        + if per_item {
+                            groups(n_leak * n_trans)
+                        } else {
+                            0
+                        });
+                for &family in spec.policy_kinds() {
+                    let mut best: Option<(f64, usize, usize, usize, PolicyRun)> = None;
+                    for (leak_i, &leak) in spec.leak_values().iter().enumerate() {
+                        for (trans_i, &tr) in spec.transition_values().iter().enumerate() {
                             let model = model_at(leak, tr);
-                            let form = kind.form(&model, slices);
-                            let total = policy_energy_of(&model, form, &run.sim);
-                            let ratio = total.normalized_to_max(&model);
-                            if best.is_none_or(|(b, _)| ratio < b) {
-                                best = Some((ratio, total.transitions_equiv));
+                            for (combo_i, &(kind, slices)) in combos.iter().enumerate() {
+                                if kind != family {
+                                    continue;
+                                }
+                                let total =
+                                    policy_energy_of(&model, kind.form(&model, slices), &run.sim);
+                                let ratio = total.normalized_to_max(&model);
+                                if best.is_none_or(|b| ratio < b.0) {
+                                    best = Some((ratio, leak_i, trans_i, combo_i, total));
+                                }
                             }
                         }
                     }
+                    expected.push(best.unwrap());
                 }
-                expected.push(best.unwrap());
             }
-        }
-        for (row, (ratio, trans)) in result.optima.rows().iter().zip(expected) {
-            assert_eq!(row[7].text(), format!("{ratio:.4}"));
-            assert_eq!(row[8].text(), format!("{trans:.1}"));
-        }
+            assert_eq!(stats.grid_batches, traversals);
+            assert_eq!(result.optima.rows().len(), expected.len());
+            for (row, (ratio, leak_i, trans_i, combo_i, total)) in
+                result.optima.rows().iter().zip(expected)
+            {
+                let slices = combos[combo_i].1.map_or("-".to_string(), |s| s.to_string());
+                assert_eq!(row[3].text(), slices);
+                assert_eq!(bits(&row[4]), spec.leak_values()[leak_i].to_bits());
+                assert_eq!(bits(&row[5]), spec.transition_values()[trans_i].to_bits());
+                assert_eq!(bits(&row[6]), total.energy.total().to_bits());
+                assert_eq!(bits(&row[7]), ratio.to_bits());
+                assert_eq!(bits(&row[8]), total.transitions_equiv.to_bits());
+            }
 
-        // Worker-count invariance, the determinism contract.
-        let sequential = explore(&Engine::sequential(), &spec);
-        assert_eq!(sequential.optima.to_json(), result.optima.to_json());
-        assert_eq!(sequential.frontier.to_json(), result.frontier.to_json());
-        assert_eq!(sequential.crossover.to_json(), result.crossover.to_json());
+            // Worker-count invariance, the determinism contract.
+            let sequential = explore(&Engine::sequential(), spec);
+            assert_eq!(sequential.optima.to_json(), result.optima.to_json());
+            assert_eq!(sequential.frontier.to_json(), result.frontier.to_json());
+            assert_eq!(sequential.crossover.to_json(), result.crossover.to_json());
+        }
     }
 
     #[test]

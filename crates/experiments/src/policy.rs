@@ -142,6 +142,18 @@ impl PolicyKind {
             },
         }
     }
+
+    /// Whether [`PolicyKind::form`] ignores its model for this slice
+    /// override: the parameterless families, and GradualSleep with an
+    /// explicit slice count. Such a form prices separably over the
+    /// technology axes ([`fuleak_core::policy_eval::assemble_axis_run`]).
+    pub fn model_free(self, slices: Option<u32>) -> bool {
+        match self {
+            PolicyKind::MaxSleep | PolicyKind::AlwaysActive | PolicyKind::NoOverhead => true,
+            PolicyKind::GradualSleep => slices.is_some(),
+            PolicyKind::TimeoutSleep | PolicyKind::AdaptiveSleep => false,
+        }
+    }
 }
 
 /// One cell of the policy/technology design space: a policy family,
