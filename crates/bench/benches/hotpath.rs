@@ -80,7 +80,7 @@ fn bench(c: &mut Criterion) {
                 .benches([BENCH])
                 .l2_latencies([12, 32]);
             engine.run_sweep(&spec);
-            assert_eq!(engine.trace_cache().captures(), 1);
+            assert_eq!(engine.trace_cache().computes(), 1);
             black_box(engine.cache().len())
         })
     });

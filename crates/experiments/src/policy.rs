@@ -11,12 +11,10 @@
 //!   from the breakeven interval);
 //! * [`EvalPoint`] — one cell of the policy × slices × leakage ×
 //!   transition-cost design space, buildable into its [`EnergyModel`];
-//! * [`PolicyCache`] — a concurrent memo table from
-//!   `(scenario, policy form, energy-model fingerprint)` to the
-//!   summed-over-FUs [`PolicyRun`], the engine's fourth cache layer:
-//!   a policy/technology sweep over already-simulated scenarios never
-//!   re-runs the timing kernel and never re-prices a point it has
-//!   seen.
+//! * [`PolicyCache`] — the engine's fourth memo layer, one more
+//!   instance of [`Memo`]: a policy/technology sweep over simulated
+//!   scenarios never re-runs the timing kernel and never re-prices a
+//!   point it has seen.
 //!
 //! Pricing itself is [`fuleak_core::policy_eval::spectrum_run`] — the
 //! closed-form evaluator over each FU's `IntervalSpectrum` — so one
@@ -25,13 +23,12 @@
 //! history-dependent AdaptiveSleep (canonical ascending order, O(1)
 //! per interval).
 
-use crate::scenario::{Claim, Flight, FlightGuard, Scenario};
+use crate::scenario::{Memo, Scenario};
 use fuleak_core::accounting::PolicyRun;
 use fuleak_core::policy_eval::{spectrum_run, PolicyForm};
 use fuleak_core::tech::{DEFAULT_DUTY_CYCLE, DEFAULT_LEAK_RATIO, DEFAULT_SLEEP_OVERHEAD};
 use fuleak_core::{breakeven_interval, EnergyModel, ModelError, TechnologyParams};
 use fuleak_uarch::SimResult;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The activity factor every policy/technology sweep prices at — the
 /// paper's empirical experiments fix `alpha = 0.5`.
@@ -233,135 +230,13 @@ pub fn policy_energy_of(model: &EnergyModel, form: PolicyForm, sim: &SimResult) 
     total
 }
 
-/// A concurrent memo table from `(scenario, policy form, energy-model
-/// fingerprint)` to the scenario's summed-over-FUs [`PolicyRun`] —
-/// the engine's fourth cache layer, sitting on top of the
-/// `SimCache`. Keyed by the *resolved* [`PolicyForm`] (slice counts
-/// and breakeven-derived parameters included) and by
-/// [`EnergyModel::fingerprint`], so distinct technology points never
-/// alias.
-#[derive(Debug, Default)]
-pub struct PolicyCache {
-    flight: Flight<(Scenario, PolicyForm, u64), PolicyRun>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    waits: AtomicUsize,
-}
-
-impl PolicyCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        PolicyCache::default()
-    }
-
-    /// The cached run for a key, counting a hit or miss. An in-flight
-    /// evaluation counts as a miss (its value does not exist yet);
-    /// use [`PolicyCache::claim`] (engine-internal) to participate in
-    /// the single-flight protocol instead.
-    pub fn get(&self, scenario: &Scenario, form: PolicyForm, model_fp: u64) -> Option<PolicyRun> {
-        let found = self.flight.peek(&(scenario.clone(), form, model_fp));
-        match found {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Claims a key for single-flight evaluation. Counting mirrors
-    /// [`crate::scenario::SimCache::claim`]: `Ready` is a hit,
-    /// `Owner` a miss (this caller evaluates), `Wait` a hit plus a
-    /// wait.
-    pub(crate) fn claim(
-        &self,
-        scenario: &Scenario,
-        form: PolicyForm,
-        model_fp: u64,
-    ) -> Claim<PolicyRun> {
-        let claim = self.flight.claim(&(scenario.clone(), form, model_fp));
-        match &claim {
-            Claim::Ready(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Claim::Owner => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Claim::Wait(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.waits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        claim
-    }
-
-    /// Publishes a claimed evaluation, waking waiters.
-    pub(crate) fn fulfill(
-        &self,
-        scenario: &Scenario,
-        form: PolicyForm,
-        model_fp: u64,
-        run: PolicyRun,
-    ) -> PolicyRun {
-        self.flight
-            .fulfill(&(scenario.clone(), form, model_fp), run)
-    }
-
-    /// Unwind guard abandoning the claim if the owner never fulfills
-    /// it (see [`crate::scenario::Flight::guard`]).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn guard(
-        &self,
-        scenario: Scenario,
-        form: PolicyForm,
-        model_fp: u64,
-    ) -> FlightGuard<'_, (Scenario, PolicyForm, u64), PolicyRun> {
-        self.flight.guard(vec![(scenario, form, model_fp)])
-    }
-
-    /// Inserts a run, keeping the first insertion if the point was
-    /// raced (evaluations are pure functions of the key).
-    pub fn insert(
-        &self,
-        scenario: Scenario,
-        form: PolicyForm,
-        model_fp: u64,
-        run: PolicyRun,
-    ) -> PolicyRun {
-        self.flight.fulfill(&(scenario, form, model_fp), run)
-    }
-
-    /// Number of distinct policy evaluations cached (in-flight claims
-    /// excluded).
-    pub fn len(&self) -> usize {
-        self.flight.ready_len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookup hits since construction.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup misses since construction.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Single-flight waits since construction: lookups that blocked
-    /// on another thread's in-flight evaluation instead of
-    /// duplicating it.
-    pub fn waits(&self) -> usize {
-        self.waits.load(Ordering::Relaxed)
-    }
-}
+/// The evaluation layer, on top of the [`crate::scenario::SimCache`]:
+/// `(scenario, policy form, energy-model fingerprint)` to the
+/// scenario's summed-over-FUs [`PolicyRun`]. Keyed by the *resolved*
+/// [`PolicyForm`] (slice counts and breakeven-derived parameters
+/// included) and by [`EnergyModel::fingerprint`], so distinct
+/// technology points never alias.
+pub type PolicyCache = Memo<(Scenario, PolicyForm, u64), PolicyRun>;
 
 #[cfg(test)]
 mod tests {
@@ -458,28 +333,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_and_dedups() {
+    fn policy_runs_key_on_the_model_fingerprint() {
         use crate::harness::Budget;
-        let cache = PolicyCache::new();
+        use crate::scenario::Engine;
+        let engine = Engine::sequential();
         let s = Scenario::paper("mst", 2, 12, Budget::Custom(1_000));
         let m = near_term_model();
         let form = PolicyForm::MaxSleep;
-        assert!(cache.get(&s, form, m.fingerprint()).is_none());
-        let run = PolicyRun {
-            active_cycles: 7,
-            ..PolicyRun::default()
-        };
-        cache.insert(s.clone(), form, m.fingerprint(), run);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(
-            cache.get(&s, form, m.fingerprint()).unwrap().active_cycles,
-            7
-        );
+        let run = engine.policy_run(&s, form, &m);
+        assert_eq!(engine.policy_run(&s, form, &m), run);
+        assert_eq!(engine.policy_cache().len(), 1);
         // A different technology point is a different key.
         let other = EnergyModel::new(TechnologyParams::high_leakage(), EVAL_ALPHA).unwrap();
-        assert!(cache.get(&s, form, other.fingerprint()).is_none());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert!(!cache.is_empty());
+        assert_ne!(other.fingerprint(), m.fingerprint());
+        engine.policy_run(&s, form, &other);
+        assert_eq!(engine.policy_cache().len(), 2);
+        assert_eq!(engine.policy_cache().hits(), 1);
+        assert_eq!(engine.policy_cache().misses(), 2);
+        assert!(!engine.policy_cache().is_empty());
     }
 }

@@ -1,43 +1,31 @@
 //! Scenario engine: deterministic, cached, parallel execution of
 //! simulation points over arbitrary machine configurations.
 //!
-//! The paper's experiments all consume the same underlying object — a
-//! timing simulation of one benchmark on one machine at one
-//! instruction budget. The seed harness re-simulated those points
-//! sequentially per experiment; this module makes the point the unit
-//! of work:
-//!
 //! * [`Scenario`] — the value-typed key of one simulation point: a
 //!   benchmark, a canonical [`MachineConfig`] (any Table 2 variant,
 //!   not just the paper's FU-count × L2-latency grid), and a budget;
 //! * [`SweepSpec`] — a multi-axis cartesian builder (benchmarks ×
-//!   any subset of `CoreConfig` axes: FU count, L2 latency, width,
-//!   ROB, cache sizes, …) expanding to a deterministic scenario list;
-//! * [`SimCache`] — a concurrent memo table from [`Scenario`] to its
-//!   [`SimResult`], so Table 3, Figure 7, Figures 8a/8b, and Figures
-//!   9a/9b reuse points instead of re-simulating;
+//!   any subset of `CoreConfig` axes) expanding to a deterministic
+//!   scenario list, plus evaluation axes (policy, slices, leakage,
+//!   transition cost) that multiply result rows, not simulations;
 //! * [`Engine`] — a work-stealing executor (std scoped threads over a
 //!   shared job queue) that fans uncached points out across cores.
 //!
-//! The engine also memoizes the *functional* half of each point — a
-//! dynamic trace depends only on `(bench, budget)`, so one packed
-//! [`EncodedTrace`] per benchmark is captured and replayed across the
-//! whole machine-configuration sweep — and, since the two-phase
-//! split, the *front-end* half too: an [`AnnotationCache`] keyed by
-//! `(bench, budget, frontend_fingerprint)` holds each geometry's
-//! annotated trace, so a sweep over timing-only axes (FU counts, L2
-//! latency, width, ROB, …) annotates each benchmark once and replays
-//! the allocation-free timing kernel per point (`DESIGN.md`).
+//! The engine memoizes each point in four layers, all instances of
+//! one single-flight [`Memo`] with one counting rule:
 //!
-//! On top of the simulation caches sits a fourth, *evaluation* layer:
-//! a [`crate::policy::PolicyCache`] memoizing
-//! `(scenario, policy form, energy-model fingerprint)` →
-//! [`PolicyRun`], and [`SweepSpec`] evaluation axes
-//! ([`SweepSpec::axis_policy`], [`SweepSpec::axis_slices`],
-//! [`SweepSpec::axis_leak_ratio`], [`SweepSpec::axis_transition_cost`])
-//! that multiply *result rows* rather than simulated points — a
-//! policy/technology sweep over a warm engine runs no simulation at
-//! all (`DESIGN.md` §7).
+//! | layer | key | value |
+//! |---|---|---|
+//! | [`TraceCache`] | `(bench, budget)` | packed [`EncodedTrace`] |
+//! | [`AnnotationCache`] | `(bench, budget, frontend_fingerprint)` | [`AnnotatedTrace`] |
+//! | [`SimCache`] | [`Scenario`] | [`SimResult`] |
+//! | [`crate::policy::PolicyCache`] | `(scenario, form, model fingerprint)` | [`PolicyRun`] |
+//!
+//! So a machine sweep captures each benchmark once, a sweep over
+//! timing-only axes annotates each benchmark once and replays the
+//! allocation-free timing kernel per point, and a policy/technology
+//! sweep over a warm engine runs no simulation at all (`DESIGN.md`
+//! §6, §7 and §13).
 //!
 //! Every simulation is single-threaded and seeded, so a scenario's
 //! result is a pure function of its key: the engine is free to run
@@ -117,11 +105,7 @@ impl<V: Clone> Latch<V> {
     }
 
     fn abandon(&self) {
-        let mut state = lock_unpoisoned(&self.state);
-        if matches!(*state, LatchState::Pending) {
-            *state = LatchState::Abandoned;
-        }
-        drop(state);
+        *lock_unpoisoned(&self.state) = LatchState::Abandoned;
         self.cv.notify_all();
     }
 
@@ -164,9 +148,8 @@ pub(crate) enum Claim<V> {
 /// concurrent requests for the same key compute the value exactly
 /// once — the first claimant becomes the owner, later claimants block
 /// on the owner's latch, and everyone observes the same published
-/// value. The mechanism layer under [`SimCache`], [`TraceCache`],
-/// [`AnnotationCache`], and [`crate::policy::PolicyCache`]; hit/miss
-/// accounting stays in those wrappers.
+/// value. The mechanism layer under [`Memo`], which adds the
+/// counters.
 #[derive(Debug)]
 pub(crate) struct Flight<K, V> {
     map: Mutex<FxHashMap<K, Slot<V>>>,
@@ -219,24 +202,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Flight<K, V> {
         }
     }
 
-    /// Removes an unfulfilled in-flight entry and wakes its waiters
-    /// empty-handed, so they re-claim (one becomes the new owner). A
-    /// no-op once the flight is fulfilled, which makes unconditional
-    /// unwind guards safe: [`FlightGuard`] abandons on drop whether
-    /// or not the owner got as far as fulfilling.
-    pub(crate) fn abandon(&self, key: &K) {
-        let mut map = lock_unpoisoned(&self.map);
-        if let Some(Slot::InFlight(_)) = map.get(key) {
-            let slot = map.remove(key);
-            drop(map);
-            if let Some(Slot::InFlight(latch)) = slot {
-                latch.abandon();
-            }
-        }
-    }
-
     /// The published value for `key`, if any; in-flight entries are
     /// invisible (the value does not exist yet).
+    #[cfg(test)]
     pub(crate) fn peek(&self, key: &K) -> Option<V> {
         match lock_unpoisoned(&self.map).get(key) {
             Some(Slot::Ready(v)) => Some(v.clone()),
@@ -246,10 +214,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Flight<K, V> {
 
     /// Number of published values (in-flight claims excluded).
     pub(crate) fn ready_len(&self) -> usize {
-        lock_unpoisoned(&self.map)
-            .values()
-            .filter(|s| matches!(s, Slot::Ready(_)))
-            .count()
+        self.sum_ready(|_| 1)
     }
 
     /// Sums `f` over the published values.
@@ -263,10 +228,12 @@ impl<K: Eq + Hash + Clone, V: Clone> Flight<K, V> {
             .sum()
     }
 
-    /// An unwind guard over `keys` this caller has claimed as owner:
-    /// on drop it abandons every key not fulfilled by then, so
-    /// waiters blocked on a panicked owner re-claim instead of
-    /// hanging forever. Dropping after fulfillment is a no-op.
+    /// An unwind guard over `keys` this caller has claimed as owner.
+    /// On drop it abandons every key not fulfilled by then: it
+    /// removes the in-flight entry and wakes its waiters empty-handed,
+    /// so they re-claim (one becomes the new owner) instead of
+    /// hanging on a panicked owner. Fulfilled keys are left alone, so
+    /// a latch is never abandoned after it was fulfilled.
     pub(crate) fn guard(&self, keys: Vec<K>) -> FlightGuard<'_, K, V> {
         FlightGuard { flight: self, keys }
     }
@@ -280,9 +247,218 @@ pub(crate) struct FlightGuard<'a, K: Eq + Hash + Clone, V: Clone> {
 
 impl<K: Eq + Hash + Clone, V: Clone> Drop for FlightGuard<'_, K, V> {
     fn drop(&mut self) {
+        let mut map = lock_unpoisoned(&self.flight.map);
         for key in &self.keys {
-            self.flight.abandon(key);
+            if let Some(Slot::InFlight(latch)) = map.get(key) {
+                let latch = Arc::clone(latch);
+                map.remove(key);
+                latch.abandon();
+            }
         }
+    }
+}
+
+/// A single-flight memo table and its counters: the one mechanism
+/// behind all four engine caches ([`SimCache`], [`AnnotationCache`],
+/// [`TraceCache`] and [`crate::policy::PolicyCache`]).
+///
+/// Every layer counts by the same rule:
+///
+/// * a lookup that finds the value published is a **hit**;
+/// * a lookup that makes its caller the owner is a **miss**;
+/// * a lookup that blocks on another thread's in-flight computation
+///   is a **hit and a wait**: it is served without duplicating work,
+///   so `hits + misses` is the number of lookups;
+/// * a **compute** is counted once, after the compute closure
+///   returns. An owner that unwinds counts a miss and no compute,
+///   and so does an owner whose value a persistent tier supplied.
+///
+/// Disk hits and misses are not counted here: the [`ResultStore`]
+/// keeps them per kind, and a memo does not duplicate them.
+#[derive(Debug)]
+pub struct Memo<K, V> {
+    flight: Flight<K, V>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    computes: AtomicUsize,
+    waits: AtomicUsize,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo {
+            flight: Flight::default(),
+            hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
+            computes: AtomicUsize::new(0),
+            waits: AtomicUsize::new(0),
+        }
+    }
+}
+
+/// What one [`Memo::claim_batch`] call owns and waits on.
+struct Batch<'a, K: Eq + Hash + Clone, V: Clone, T> {
+    /// Items whose keys the caller now owns: the first item of each
+    /// key, in input order.
+    owned: Vec<T>,
+    /// Items whose keys another caller is computing, with its latch.
+    pending: Vec<(T, Arc<Latch<V>>)>,
+    /// Abandons every owned key still unpublished when dropped.
+    guard: FlightGuard<'a, K, V>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
+    /// Claims `key`, counting it by the rule above. A `probe` is not
+    /// a lookup of its own (the caller looks the key up, counted,
+    /// later), so its published and in-flight keys count no hit.
+    fn claim(&self, key: &K, probe: bool) -> Claim<V> {
+        let claim = self.flight.claim(key);
+        if matches!(claim, Claim::Wait(_)) {
+            self.waits.fetch_add(1, Ordering::Relaxed);
+        }
+        if matches!(claim, Claim::Owner) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        } else if !probe {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        claim
+    }
+
+    /// The value for `key`. It is either already published, awaited
+    /// from the thread computing it, or, when this caller becomes the
+    /// owner, read through `load` (a persistent tier; not a compute)
+    /// or made by `compute`, then published. If the owner it waited
+    /// on unwound, the caller claims again and may compute the value
+    /// itself, so a panicked computation is retried, never awaited
+    /// forever.
+    pub fn get_or_compute(
+        &self,
+        key: &K,
+        load: impl FnOnce() -> Option<V>,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        loop {
+            match self.claim(key, false) {
+                Claim::Ready(v) => return v,
+                Claim::Wait(latch) => {
+                    if let Some(v) = latch.wait() {
+                        return v;
+                    }
+                }
+                Claim::Owner => break,
+            }
+        }
+        let _guard = self.flight.guard(vec![key.clone()]);
+        match load() {
+            Some(v) => self.flight.fulfill(key, v),
+            None => self.compute(key, compute),
+        }
+    }
+
+    /// Claims the keys of many items at once, each distinct key once.
+    /// With `probe` set the claims count as [`Memo::claim`]'s probes.
+    fn claim_batch<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        key: impl Fn(&T) -> K,
+        probe: bool,
+    ) -> Batch<'_, K, V, T> {
+        let mut seen = FxHashSet::default();
+        let mut batch = Batch {
+            owned: Vec::new(),
+            pending: Vec::new(),
+            guard: self.flight.guard(Vec::new()),
+        };
+        for item in items {
+            let k = key(&item);
+            if !seen.insert(k.clone()) {
+                continue;
+            }
+            match self.claim(&k, probe) {
+                Claim::Ready(_) => {}
+                Claim::Owner => {
+                    batch.guard.keys.push(k);
+                    batch.owned.push(item);
+                }
+                Claim::Wait(latch) => batch.pending.push((item, latch)),
+            }
+        }
+        batch
+    }
+
+    /// Runs `f` for a key this caller owns and publishes its value,
+    /// waking waiters. This is the one place a compute is counted,
+    /// after `f` returns.
+    fn compute(&self, key: &K, f: impl FnOnce() -> V) -> V {
+        let value = f();
+        self.computes.fetch_add(1, Ordering::Relaxed);
+        self.flight.fulfill(key, value)
+    }
+
+    /// Inserts a value, keeping the first one if the key was raced
+    /// (values are pure functions of their key, so either copy is
+    /// correct); returns the kept copy.
+    pub fn insert(&self, key: K, value: V) -> V {
+        self.flight.fulfill(&key, value)
+    }
+
+    /// Number of published values (in-flight claims excluded).
+    pub fn len(&self) -> usize {
+        self.flight.ready_len()
+    }
+
+    /// Whether nothing is published.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lookups served without computing, waits included.
+    pub fn hits(&self) -> usize {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that made their caller the owner.
+    pub fn misses(&self) -> usize {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Computations that returned.
+    pub fn computes(&self) -> usize {
+        self.computes.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that blocked on another thread's in-flight computation
+    /// instead of duplicating it.
+    pub fn waits(&self) -> usize {
+        self.waits.load(Ordering::Relaxed)
+    }
+}
+
+/// The simulation layer: [`Scenario`] to its timing result.
+pub type SimCache = Memo<Scenario, Arc<SimResult>>;
+
+/// The functional layer: `(bench, budget)` to its packed trace,
+/// shared by every machine variant.
+pub type TraceCache = Memo<(&'static str, Budget), Arc<EncodedTrace>>;
+
+/// The front-end layer: `(bench, budget, front-end geometry
+/// fingerprint)` to the annotated trace, shared by every timing-axis
+/// variant of a machine (see [`fuleak_uarch::annotate`] and
+/// `DESIGN.md`). The paper's FU × L2-latency grid is all timing axes,
+/// so it annotates each benchmark once.
+pub type AnnotationCache = Memo<(&'static str, Budget, u64), Arc<AnnotatedTrace>>;
+
+impl TraceCache {
+    /// Total packed bytes held across all cached traces.
+    pub fn encoded_bytes(&self) -> usize {
+        self.flight.sum_ready(|t| t.encoded_bytes())
+    }
+}
+
+impl AnnotationCache {
+    /// Total packed bytes held across all cached annotations.
+    pub fn annotated_bytes(&self) -> usize {
+        self.flight.sum_ready(|a| a.annotated_bytes())
     }
 }
 
@@ -762,112 +938,6 @@ impl SweepSpec {
     }
 }
 
-/// A concurrent, single-flight memo table from [`Scenario`] to its
-/// result: concurrent requests for the same cold point compute it
-/// exactly once — the first claimant simulates, later claimants block
-/// on its latch ([`Flight`]).
-#[derive(Debug, Default)]
-pub struct SimCache {
-    flight: Flight<Scenario, Arc<SimResult>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    waits: AtomicUsize,
-}
-
-impl SimCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        SimCache::default()
-    }
-
-    /// Returns the cached result for `s`, counting a hit or miss. A
-    /// point still in flight counts as a miss — its value does not
-    /// exist yet; use [`SimCache::claim`] (engine-internal) to
-    /// participate in the single-flight protocol instead.
-    pub fn get(&self, s: &Scenario) -> Option<Arc<SimResult>> {
-        match self.flight.peek(s) {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Claims `s` for single-flight computation. Counting: `Ready` is
-    /// a hit; `Owner` is a miss (this caller will simulate the point);
-    /// `Wait` is a hit plus a wait — the value is served from the
-    /// cache once the owner publishes, without duplicating work, so
-    /// `hits + misses` stays the number of lookups and
-    /// [`EngineStats::simulated`] counts each point once no matter
-    /// how many threads raced for it.
-    pub(crate) fn claim(&self, s: &Scenario) -> Claim<Arc<SimResult>> {
-        let claim = self.flight.claim(s);
-        match &claim {
-            Claim::Ready(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Claim::Owner => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Claim::Wait(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.waits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        claim
-    }
-
-    /// Publishes a claimed point's result, waking waiters.
-    pub(crate) fn fulfill(&self, s: &Scenario, result: Arc<SimResult>) -> Arc<SimResult> {
-        self.flight.fulfill(s, result)
-    }
-
-    /// Unwind guard abandoning whichever of `keys` this owner never
-    /// fulfills (see [`Flight::guard`]).
-    pub(crate) fn guard(&self, keys: Vec<Scenario>) -> FlightGuard<'_, Scenario, Arc<SimResult>> {
-        self.flight.guard(keys)
-    }
-
-    /// Inserts a result, keeping the first insertion if the point was
-    /// raced (results are identical by construction, so either is
-    /// correct — keeping the first makes the choice deterministic in
-    /// effect).
-    pub fn insert(&self, s: Scenario, result: Arc<SimResult>) -> Arc<SimResult> {
-        self.flight.fulfill(&s, result)
-    }
-
-    /// Number of distinct points cached (in-flight claims excluded).
-    pub fn len(&self) -> usize {
-        self.flight.ready_len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookup hits since construction.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup misses since construction.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Single-flight waits since construction: lookups that blocked
-    /// on another thread's in-flight simulation instead of
-    /// duplicating it.
-    pub fn waits(&self) -> usize {
-        self.waits.load(Ordering::Relaxed)
-    }
-}
-
 /// Snapshot of an engine's cache effectiveness, for progress lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
@@ -1005,245 +1075,11 @@ impl EngineStats {
     }
 }
 
-/// A concurrent memo table from `(bench, budget)` to its packed
-/// functional trace, shared by every point of a machine sweep.
-#[derive(Debug, Default)]
-pub struct TraceCache {
-    flight: Flight<(&'static str, Budget), Arc<EncodedTrace>>,
-    hits: AtomicUsize,
-    captures: AtomicUsize,
-    waits: AtomicUsize,
-}
-
-impl TraceCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        TraceCache::default()
-    }
-
-    /// The cached trace for `(bench, budget)`, if present. Counts a
-    /// hit so [`TraceCache::hits`] means "replays served from cache".
-    pub fn get(&self, bench: &'static str, budget: Budget) -> Option<Arc<EncodedTrace>> {
-        let found = self.flight.peek(&(bench, budget));
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Whether a trace is cached, without counting a lookup — for
-    /// bookkeeping probes (capture deduplication) that would
-    /// otherwise inflate the hit rate.
-    pub fn contains(&self, bench: &'static str, budget: Budget) -> bool {
-        self.flight.peek(&(bench, budget)).is_some()
-    }
-
-    /// Claims `(bench, budget)` for single-flight capture. Hit and
-    /// capture counting stays with the caller (mirroring the
-    /// `get`/`contains` split: dedup probes claim without counting);
-    /// waits are always counted.
-    pub(crate) fn claim(&self, bench: &'static str, budget: Budget) -> Claim<Arc<EncodedTrace>> {
-        let claim = self.flight.claim(&(bench, budget));
-        if matches!(claim, Claim::Wait(_)) {
-            self.waits.fetch_add(1, Ordering::Relaxed);
-        }
-        claim
-    }
-
-    /// Publishes a claimed trace, waking waiters.
-    pub(crate) fn fulfill(
-        &self,
-        bench: &'static str,
-        budget: Budget,
-        trace: Arc<EncodedTrace>,
-    ) -> Arc<EncodedTrace> {
-        self.flight.fulfill(&(bench, budget), trace)
-    }
-
-    /// Unwind guard abandoning whichever of `keys` this owner never
-    /// fulfills (see [`Flight::guard`]).
-    pub(crate) fn guard(
-        &self,
-        keys: Vec<(&'static str, Budget)>,
-    ) -> FlightGuard<'_, (&'static str, Budget), Arc<EncodedTrace>> {
-        self.flight.guard(keys)
-    }
-
-    /// Inserts a trace, keeping the first insertion on a race (traces
-    /// are pure functions of the key, so either copy is correct).
-    pub fn insert(
-        &self,
-        bench: &'static str,
-        budget: Budget,
-        trace: Arc<EncodedTrace>,
-    ) -> Arc<EncodedTrace> {
-        self.flight.fulfill(&(bench, budget), trace)
-    }
-
-    /// Number of distinct traces cached (in-flight claims excluded).
-    pub fn len(&self) -> usize {
-        self.flight.ready_len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the cache since construction.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Functional executions performed since construction (cache
-    /// misses; single-flight makes raced duplicates impossible).
-    pub fn captures(&self) -> usize {
-        self.captures.load(Ordering::Relaxed)
-    }
-
-    /// Single-flight waits since construction.
-    pub fn waits(&self) -> usize {
-        self.waits.load(Ordering::Relaxed)
-    }
-
-    /// Total packed bytes held across all cached traces.
-    pub fn encoded_bytes(&self) -> usize {
-        self.flight.sum_ready(|t| t.encoded_bytes())
-    }
-}
-
-/// A concurrent memo table from `(bench, budget, front-end geometry
-/// fingerprint)` to the benchmark's annotated trace — the phase-1
-/// product shared by every timing-axis variation of a machine (see
-/// [`fuleak_uarch::annotate`] and `DESIGN.md`). The paper's FU ×
-/// L2-latency grid hits this cache for all but one point per
-/// benchmark: FU counts and L2 latencies are timing axes, so the
-/// whole grid shares one front-end geometry.
-#[derive(Debug, Default)]
-pub struct AnnotationCache {
-    flight: Flight<(&'static str, Budget, u64), Arc<AnnotatedTrace>>,
-    hits: AtomicUsize,
-    built: AtomicUsize,
-    waits: AtomicUsize,
-}
-
-impl AnnotationCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        AnnotationCache::default()
-    }
-
-    /// The cached annotation for `(bench, budget, geometry)`, if
-    /// present; counts a hit.
-    pub fn get(
-        &self,
-        bench: &'static str,
-        budget: Budget,
-        geometry: u64,
-    ) -> Option<Arc<AnnotatedTrace>> {
-        let found = self.flight.peek(&(bench, budget, geometry));
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Whether an annotation is cached, without counting a lookup.
-    pub fn contains(&self, bench: &'static str, budget: Budget, geometry: u64) -> bool {
-        self.flight.peek(&(bench, budget, geometry)).is_some()
-    }
-
-    /// Claims `(bench, budget, geometry)` for single-flight
-    /// annotation. Hit and build counting stays with the caller
-    /// (dedup probes claim without counting; the disk tier can
-    /// fulfill a claim without a build); waits are always counted.
-    pub(crate) fn claim(
-        &self,
-        bench: &'static str,
-        budget: Budget,
-        geometry: u64,
-    ) -> Claim<Arc<AnnotatedTrace>> {
-        let claim = self.flight.claim(&(bench, budget, geometry));
-        if matches!(claim, Claim::Wait(_)) {
-            self.waits.fetch_add(1, Ordering::Relaxed);
-        }
-        claim
-    }
-
-    /// Publishes a claimed annotation, waking waiters.
-    pub(crate) fn fulfill(
-        &self,
-        bench: &'static str,
-        budget: Budget,
-        geometry: u64,
-        ann: Arc<AnnotatedTrace>,
-    ) -> Arc<AnnotatedTrace> {
-        self.flight.fulfill(&(bench, budget, geometry), ann)
-    }
-
-    /// Unwind guard abandoning whichever of `keys` this owner never
-    /// fulfills (see [`Flight::guard`]).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn guard(
-        &self,
-        keys: Vec<(&'static str, Budget, u64)>,
-    ) -> FlightGuard<'_, (&'static str, Budget, u64), Arc<AnnotatedTrace>> {
-        self.flight.guard(keys)
-    }
-
-    /// Inserts an annotation, keeping the first insertion on a race
-    /// (annotations are pure functions of the key).
-    pub fn insert(
-        &self,
-        bench: &'static str,
-        budget: Budget,
-        geometry: u64,
-        ann: Arc<AnnotatedTrace>,
-    ) -> Arc<AnnotatedTrace> {
-        self.flight.fulfill(&(bench, budget, geometry), ann)
-    }
-
-    /// Number of distinct annotations cached (in-flight claims
-    /// excluded).
-    pub fn len(&self) -> usize {
-        self.flight.ready_len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the cache since construction.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Annotation passes performed since construction (cache misses
-    /// the disk tier could not answer; single-flight makes raced
-    /// duplicates impossible).
-    pub fn built(&self) -> usize {
-        self.built.load(Ordering::Relaxed)
-    }
-
-    /// Single-flight waits since construction.
-    pub fn waits(&self) -> usize {
-        self.waits.load(Ordering::Relaxed)
-    }
-
-    /// Total packed bytes held across all cached annotations.
-    pub fn annotated_bytes(&self) -> usize {
-        self.flight.sum_ready(|a| a.annotated_bytes())
-    }
-}
-
 /// Parallel, memoizing scenario executor.
 ///
 /// Construct once, share by reference: every sweep and every lookup
-/// goes through the same [`SimCache`], [`TraceCache`], and
-/// [`AnnotationCache`], so repeated experiments reuse each other's
-/// simulated points, the functional traces behind them, and the
-/// per-geometry trace annotations in between.
+/// goes through the same four [`Memo`] layers (see the module docs),
+/// so repeated experiments reuse each other's work at every layer.
 ///
 /// Points are simulated in **two phases** (`DESIGN.md`): a cached
 /// annotation pass per `(bench, budget, front-end geometry)` followed
@@ -1281,10 +1117,10 @@ impl Engine {
     pub fn new(jobs: usize) -> Self {
         Engine {
             jobs: effective_jobs(jobs),
-            cache: SimCache::new(),
-            traces: TraceCache::new(),
-            annotations: AnnotationCache::new(),
-            policies: PolicyCache::new(),
+            cache: Memo::default(),
+            traces: Memo::default(),
+            annotations: Memo::default(),
+            policies: Memo::default(),
             grid_batches: AtomicUsize::new(0),
             grid_points: AtomicU64::new(0),
             grid_nanos: AtomicU64::new(0),
@@ -1366,33 +1202,17 @@ impl Engine {
     /// [`Engine::result`]).
     pub fn policy_run(&self, s: &Scenario, form: PolicyForm, model: &EnergyModel) -> PolicyRun {
         let model_fp = model.fingerprint();
-        loop {
-            match self.policies.claim(s, form, model_fp) {
-                Claim::Ready(run) => return run,
-                Claim::Wait(latch) => {
-                    if let Some(run) = latch.wait() {
-                        return run;
-                    }
-                    // Owner abandoned (panicked mid-evaluation):
-                    // re-claim; this thread may become the new owner.
+        self.policies.get_or_compute(
+            &(s.clone(), form, model_fp),
+            || self.store()?.load_policy(s, form, model_fp),
+            || {
+                let run = policy_energy_of(model, form, &self.result(s.clone()));
+                if let Some(st) = self.store() {
+                    st.save_policy(s, form, model_fp, run);
                 }
-                Claim::Owner => break,
-            }
-        }
-        let _guard = self.policies.guard(s.clone(), form, model_fp);
-        let store = self.store();
-        if let Some(run) = store
-            .as_ref()
-            .and_then(|st| st.load_policy(s, form, model_fp))
-        {
-            return self.policies.fulfill(s, form, model_fp, run);
-        }
-        let sim = self.result(s.clone());
-        let run = policy_energy_of(model, form, &sim);
-        if let Some(st) = &store {
-            st.save_policy(s, form, model_fp, run);
-        }
-        self.policies.fulfill(s, form, model_fp, run)
+                run
+            },
+        )
     }
 
     /// The annotated trace for `(bench, budget)` under `machine`'s
@@ -1411,46 +1231,41 @@ impl Engine {
         machine: &MachineConfig,
     ) -> Arc<AnnotatedTrace> {
         let geometry = machine.frontend_fingerprint();
-        loop {
-            match self.annotations.claim(bench, budget, geometry) {
-                Claim::Ready(a) => {
-                    self.annotations.hits.fetch_add(1, Ordering::Relaxed);
-                    return a;
-                }
-                Claim::Wait(latch) => {
-                    if let Some(a) = latch.wait() {
-                        self.annotations.hits.fetch_add(1, Ordering::Relaxed);
-                        return a;
-                    }
-                }
-                Claim::Owner => break,
-            }
-        }
-        let _guard = self.annotations.guard(vec![(bench, budget, geometry)]);
-        let store = self.store();
-        if let Some(ann) = store
-            .as_ref()
-            .and_then(|st| st.load_annotation(bench, budget, geometry))
-        {
-            return self
-                .annotations
-                .fulfill(bench, budget, geometry, Arc::new(ann));
-        }
-        self.annotations.built.fetch_add(1, Ordering::Relaxed);
-        let trace = self.trace(bench, budget);
-        let ann = annotate(machine.config(), &trace);
-        if let Some(st) = &store {
-            st.save_annotation(bench, budget, geometry, &ann);
-        }
-        self.annotations
-            .fulfill(bench, budget, geometry, Arc::new(ann))
+        self.annotations.get_or_compute(
+            &(bench, budget, geometry),
+            || {
+                let ann = self.store()?.load_annotation(bench, budget, geometry)?;
+                Some(Arc::new(ann))
+            },
+            || self.annotate(bench, budget, machine),
+        )
     }
 
-    /// Runs one point through the two-phase path: cached annotation,
-    /// then the calling worker's reusable timing kernel.
-    fn run_point(&self, s: &Scenario) -> SimResult {
+    /// Annotates `(bench, budget)` under `machine`'s front-end
+    /// geometry and writes the annotation behind to the store.
+    fn annotate(
+        &self,
+        bench: &'static str,
+        budget: Budget,
+        machine: &MachineConfig,
+    ) -> Arc<AnnotatedTrace> {
+        let ann = annotate(machine.config(), &self.trace(bench, budget));
+        if let Some(st) = self.store() {
+            st.save_annotation(bench, budget, machine.frontend_fingerprint(), &ann);
+        }
+        Arc::new(ann)
+    }
+
+    /// Simulates one point through the two-phase path — cached
+    /// annotation, then the calling worker's reusable timing kernel —
+    /// and writes the result behind to the store.
+    fn simulate(&self, s: &Scenario) -> Arc<SimResult> {
         let ann = self.annotation(s.bench, s.budget, &s.machine);
-        WORKER_KERNEL.with(|k| k.borrow_mut().run(&ann, s.machine.config()))
+        let result = Arc::new(WORKER_KERNEL.with(|k| k.borrow_mut().run(&ann, s.machine.config())));
+        if let Some(st) = self.store() {
+            st.save_sim(s, &result);
+        }
+        result
     }
 
     /// The packed trace for `(bench, budget)`, capturing (and caching)
@@ -1463,25 +1278,8 @@ impl Engine {
     /// by [`SweepSpec::benches`] or the [`Benchmark`] registry; use
     /// [`Scenario::capture_trace`] for fallible capture.
     pub fn trace(&self, bench: &'static str, budget: Budget) -> Arc<EncodedTrace> {
-        loop {
-            match self.traces.claim(bench, budget) {
-                Claim::Ready(t) => {
-                    self.traces.hits.fetch_add(1, Ordering::Relaxed);
-                    return t;
-                }
-                Claim::Wait(latch) => {
-                    if let Some(t) = latch.wait() {
-                        self.traces.hits.fetch_add(1, Ordering::Relaxed);
-                        return t;
-                    }
-                }
-                Claim::Owner => break,
-            }
-        }
-        let _guard = self.traces.guard(vec![(bench, budget)]);
-        self.traces.captures.fetch_add(1, Ordering::Relaxed);
-        let trace = capture_trace(bench, budget).unwrap_or_else(|e| panic!("{e}"));
-        self.traces.fulfill(bench, budget, Arc::new(trace))
+        self.traces
+            .get_or_compute(&(bench, budget), || None, || capture(bench, budget))
     }
 
     /// Cache-effectiveness snapshot.
@@ -1494,10 +1292,10 @@ impl Engine {
             misses: self.cache.misses(),
             traces: self.traces.len(),
             trace_hits: self.traces.hits(),
-            captures: self.traces.captures(),
+            captures: self.traces.computes(),
             annotations: self.annotations.len(),
             annotation_hits: self.annotations.hits(),
-            annotations_built: self.annotations.built(),
+            annotations_built: self.annotations.computes(),
             policy_runs: self.policies.len(),
             policy_hits: self.policies.hits(),
             policy_misses: self.policies.misses(),
@@ -1536,149 +1334,84 @@ impl Engine {
     /// (one pass per `(bench, budget, frontend_fingerprint)`), and
     /// finally every point replays its annotation through a worker's
     /// reusable timing kernel.
+    ///
+    /// Each phase claims its keys in one batch. The point claims are
+    /// this call's lookups; the annotation and trace claims are
+    /// probes, since the replay and annotation phases look those keys
+    /// up again. Each batch's guard abandons the keys this call owns
+    /// but never publishes, so a panicking worker wakes waiters to
+    /// re-claim instead of hanging them.
     pub fn prime(&self, scenarios: &[Scenario]) -> usize {
-        let mut queued = FxHashSet::with_capacity_and_hasher(scenarios.len(), Default::default());
-        let mut todo: Vec<Scenario> = Vec::new();
-        let mut pending: Vec<(Scenario, Arc<Latch<Arc<SimResult>>>)> = Vec::new();
-        for s in scenarios {
-            if !queued.insert(s.clone()) {
-                continue; // already queued this round; don't double-count
-            }
-            match self.cache.claim(s) {
-                Claim::Ready(_) => {}
-                Claim::Owner => todo.push(s.clone()),
-                // A concurrent caller is already simulating this
-                // point: it is not this sweep's work (or its miss),
-                // but `prime`'s contract is a warm cache, so block on
-                // the owner's latch at the end.
-                Claim::Wait(latch) => pending.push((s.clone(), latch)),
-            }
-        }
-        // Unwind safety: every claim this call owns must resolve even
-        // if a worker panics below — the guards abandon whatever was
-        // not fulfilled, waking waiters to re-claim rather than hang
-        // on a dead owner. Abandon is a no-op on fulfilled entries.
-        let _sim_guard = self.cache.guard(todo.clone());
-        let store = self.store();
-        if let Some(st) = &store {
-            // Disk read-through for whole points: store hits fill the
-            // sim cache directly, so a fully warm store leaves nothing
-            // to capture, annotate, or replay — and `prime` returns 0.
-            todo = parallel_map(self.jobs, todo, |s| {
-                let sim = st.load_sim(&s);
-                (s, sim)
-            })
-            .into_iter()
-            .filter_map(|(s, sim)| match sim {
-                Some(r) => {
-                    self.cache.fulfill(&s, Arc::new(r));
-                    None
-                }
-                None => Some(s),
-            })
-            .collect();
-        }
-        let mut ann_work: Vec<(&'static str, Budget, u64, MachineConfig)> = Vec::new();
-        let mut seen_geometries = FxHashSet::default();
-        for s in &todo {
-            let geometry = s.machine.frontend_fingerprint();
-            let key = (s.bench, s.budget, geometry);
-            if !seen_geometries.insert(key) {
-                continue;
-            }
-            // Owner claims become this sweep's annotation passes.
-            // Ready and in-flight geometries are skipped: an
-            // in-flight one is being built by a concurrent caller,
-            // and the replay phase's `annotation` lookup blocks on
-            // its latch if it is still pending by then.
-            if matches!(
-                self.annotations.claim(s.bench, s.budget, geometry),
-                Claim::Owner
-            ) {
-                ann_work.push((s.bench, s.budget, geometry, s.machine.clone()));
-            }
-        }
-        let _ann_guard = self
+        let point = |s: &&Scenario| (*s).clone();
+        let geometry = |s: &&Scenario| (s.bench, s.budget, s.machine.frontend_fingerprint());
+        let trace = |s: &&Scenario| (s.bench, s.budget);
+        let points = self.cache.claim_batch(scenarios, point, false);
+        // A fully warm store leaves nothing to capture, annotate or
+        // replay, and `prime` returns 0.
+        let todo = self.read_through(&self.cache, points.owned, point, |st, s| {
+            st.load_sim(s).map(Arc::new)
+        });
+        // A geometry read from disk needs no functional trace at all.
+        let geometries = self
             .annotations
-            .guard(ann_work.iter().map(|&(b, bu, g, _)| (b, bu, g)).collect());
-        if let Some(st) = &store {
-            // Disk read-through for annotations, before the trace
-            // phase: a geometry served from disk needs no functional
-            // trace at all.
-            ann_work =
-                parallel_map(
-                    self.jobs,
-                    ann_work,
-                    |(bench, budget, geometry, machine)| match st
-                        .load_annotation(bench, budget, geometry)
-                    {
-                        Some(a) => {
-                            self.annotations
-                                .fulfill(bench, budget, geometry, Arc::new(a));
-                            None
-                        }
-                        None => Some((bench, budget, geometry, machine)),
-                    },
-                )
-                .into_iter()
-                .flatten()
-                .collect();
-        }
-        // Functional traces are only consumed by the annotation pass,
-        // so capture exactly what the remaining builds need.
-        let mut trace_keys: Vec<(&'static str, Budget)> = Vec::new();
-        let mut seen_keys = FxHashSet::default();
-        for &(bench, budget, _, _) in &ann_work {
-            let key = (bench, budget);
-            if seen_keys.insert(key) && matches!(self.traces.claim(bench, budget), Claim::Owner) {
-                trace_keys.push(key);
-            }
-        }
-        let _trace_guard = self.traces.guard(trace_keys.clone());
-        self.traces
-            .captures
-            .fetch_add(trace_keys.len(), Ordering::Relaxed);
-        for ((bench, budget), trace) in parallel_map(self.jobs, trace_keys, |(bench, budget)| {
-            let trace = capture_trace(bench, budget).unwrap_or_else(|e| panic!("{e}"));
-            ((bench, budget), Arc::new(trace))
-        }) {
-            self.traces.fulfill(bench, budget, trace);
-        }
-        self.annotations
-            .built
-            .fetch_add(ann_work.len(), Ordering::Relaxed);
-        for ((bench, budget, geometry), ann) in
-            parallel_map(self.jobs, ann_work, |(bench, budget, geometry, machine)| {
-                let trace = self.trace(bench, budget);
-                let ann = annotate(machine.config(), &trace);
-                if let Some(st) = &store {
-                    st.save_annotation(bench, budget, geometry, &ann);
-                }
-                ((bench, budget, geometry), Arc::new(ann))
-            })
-        {
-            self.annotations.fulfill(bench, budget, geometry, ann);
-        }
+            .claim_batch(todo.iter().copied(), geometry, true);
+        let builds = self.read_through(&self.annotations, geometries.owned, geometry, |st, s| {
+            let (bench, budget, fingerprint) = geometry(s);
+            st.load_annotation(bench, budget, fingerprint).map(Arc::new)
+        });
+        let captures = self.traces.claim_batch(builds.iter().copied(), trace, true);
+        parallel_map(self.jobs, captures.owned, |s| {
+            self.traces
+                .compute(&trace(&s), || capture(s.bench, s.budget))
+        });
+        parallel_map(self.jobs, builds, |s| {
+            let build = || self.annotate(s.bench, s.budget, &s.machine);
+            self.annotations.compute(&geometry(&s), build)
+        });
         let simulated = todo.len();
-        for (s, r) in parallel_map(self.jobs, todo, |s| {
-            let r = Arc::new(self.run_point(&s));
-            if let Some(st) = &store {
-                st.save_sim(&s, &r);
-            }
-            (s, r)
-        }) {
-            self.cache.fulfill(&s, r);
-        }
+        parallel_map(self.jobs, todo, |s| {
+            self.cache.compute(s, || self.simulate(s))
+        });
         // Points a concurrent caller claimed first: block until each
         // resolves, so a returned `prime` leaves every requested
         // point servable from cache. If an owner abandoned (panicked)
         // re-claim through `result`, which simulates here if needed.
-        for (s, latch) in pending {
+        for (s, latch) in points.pending {
             if latch.wait().is_none() {
-                let _ = self.result(s);
+                let _ = self.result(s.clone());
             }
         }
         simulated
+    }
+
+    /// Reads `items` through the attached store, in parallel,
+    /// publishing each value found into `memo`; returns the items the
+    /// store could not answer (all of them if no store is attached).
+    fn read_through<K, V, T>(
+        &self,
+        memo: &Memo<K, V>,
+        items: Vec<T>,
+        key: impl Fn(&T) -> K + Sync,
+        load: impl Fn(&ResultStore, &T) -> Option<V> + Sync,
+    ) -> Vec<T>
+    where
+        K: Eq + Hash + Clone + Send,
+        V: Clone + Send,
+        T: Send,
+    {
+        let Some(st) = self.store() else {
+            return items;
+        };
+        parallel_map(self.jobs, items, |item| match load(&st, &item) {
+            Some(v) => {
+                memo.insert(key(&item), v);
+                None
+            }
+            None => Some(item),
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Returns the result for one scenario, simulating it on the
@@ -1692,30 +1425,18 @@ impl Engine {
     /// Panics if the scenario names an unregistered benchmark; use
     /// [`Scenario::run`] for a fallible one-off point.
     pub fn result(&self, s: Scenario) -> Arc<SimResult> {
-        loop {
-            match self.cache.claim(&s) {
-                Claim::Ready(r) => return r,
-                Claim::Wait(latch) => {
-                    if let Some(r) = latch.wait() {
-                        return r;
-                    }
-                    // Owner abandoned (panicked mid-simulation):
-                    // re-claim; this thread may become the new owner.
-                }
-                Claim::Owner => break,
-            }
-        }
-        let _guard = self.cache.guard(vec![s.clone()]);
-        let store = self.store();
-        if let Some(sim) = store.as_ref().and_then(|st| st.load_sim(&s)) {
-            return self.cache.fulfill(&s, Arc::new(sim));
-        }
-        let result = Arc::new(self.run_point(&s));
-        if let Some(st) = &store {
-            st.save_sim(&s, &result);
-        }
-        self.cache.fulfill(&s, result)
+        self.cache.get_or_compute(
+            &s,
+            || self.store()?.load_sim(&s).map(Arc::new),
+            || self.simulate(&s),
+        )
     }
+}
+
+/// Captures a trace for the engine, whose callers have validated the
+/// benchmark name (see [`Engine::trace`]).
+fn capture(bench: &'static str, budget: Budget) -> Arc<EncodedTrace> {
+    Arc::new(capture_trace(bench, budget).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Resolves a `--jobs`-style worker count: `0` means "all cores".
@@ -1897,7 +1618,7 @@ mod tests {
         let c = engine.result(narrow_again);
         assert!(Arc::ptr_eq(&a, &c));
         // And both variants replayed one shared functional trace.
-        assert_eq!(engine.trace_cache().captures(), 1);
+        assert_eq!(engine.trace_cache().computes(), 1);
     }
 
     #[test]
@@ -1944,12 +1665,12 @@ mod tests {
         // 16 timing points, but only one functional execution per
         // benchmark.
         assert_eq!(engine.trace_cache().len(), 2);
-        assert_eq!(engine.trace_cache().captures(), 2);
+        assert_eq!(engine.trace_cache().computes(), 2);
         assert!(engine.trace_cache().encoded_bytes() > 0);
         // Further sweeps and lazy lookups reuse the cached traces.
         engine.result(tiny("mst", 3));
         engine.result(Scenario::paper("mst", 1, 99, Budget::Custom(5_000)));
-        assert_eq!(engine.trace_cache().captures(), 2);
+        assert_eq!(engine.trace_cache().computes(), 2);
     }
 
     #[test]
@@ -2022,6 +1743,57 @@ mod tests {
         // A guard dropped after fulfillment must not clobber the value.
         drop(flight.guard(vec![7]));
         assert!(matches!(flight.claim(&7), Claim::Ready(1)));
+    }
+
+    #[test]
+    fn memo_counts_hits_misses_waits_and_computes() {
+        let memo: Memo<u32, u64> = Memo::default();
+        let counts = |m: &Memo<u32, u64>| (m.hits(), m.misses(), m.waits(), m.computes());
+        // Owner: a miss, then one compute once the closure returns.
+        assert_eq!(memo.get_or_compute(&1, || None, || 10), 10);
+        assert_eq!(counts(&memo), (0, 1, 0, 1));
+        // Ready: a hit; neither tier nor compute runs.
+        let hit = memo.get_or_compute(&1, || panic!("loaded a hit"), || panic!("recomputed"));
+        assert_eq!(hit, 10);
+        assert_eq!(counts(&memo), (1, 1, 0, 1));
+        // Wait: a hit plus a wait, served from the owner's latch.
+        assert!(matches!(memo.claim(&2, false), Claim::Owner));
+        let Claim::Wait(latch) = memo.claim(&2, false) else {
+            panic!("second claim must wait on the owner");
+        };
+        assert_eq!(counts(&memo), (2, 2, 1, 1));
+        assert_eq!(memo.compute(&2, || 20), 20);
+        assert_eq!(latch.wait(), Some(20));
+        assert_eq!(counts(&memo), (2, 2, 1, 2));
+        // Abandon, then re-claim: the unwound owner counts a miss but
+        // no compute, and the re-claiming caller computes.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_compute(&3, || None, || panic!("owner died"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(counts(&memo), (2, 3, 1, 2));
+        assert_eq!(memo.get_or_compute(&3, || None, || 30), 30);
+        assert_eq!(counts(&memo), (2, 4, 1, 3));
+        // A tier load publishes without a compute.
+        assert_eq!(
+            memo.get_or_compute(&4, || Some(40), || panic!("computed")),
+            40
+        );
+        assert_eq!(counts(&memo), (2, 5, 1, 3));
+        // Inserts are first-wins and count nothing.
+        assert_eq!(memo.insert(5, 50), 50);
+        assert_eq!(memo.insert(5, 51), 50);
+        assert_eq!(memo.insert(1, 11), 10);
+        assert_eq!(counts(&memo), (2, 5, 1, 3));
+        assert_eq!(memo.len(), 5);
+        // A probe batch counts owners and waits, never hits.
+        assert!(matches!(memo.claim(&6, false), Claim::Owner));
+        let batch = memo.claim_batch([1, 6, 7, 7], |&k| k, true);
+        assert_eq!(batch.owned, [7]);
+        assert_eq!(batch.pending.len(), 1);
+        assert_eq!(counts(&memo), (2, 7, 2, 3));
+        drop(batch);
+        assert_eq!(memo.len(), 5, "the batch guard abandons unpublished keys");
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn cached_trace_replay_is_bit_identical_to_fresh_execution() {
     engine.run_sweep(&spec);
     // All four FU/L2 variations of each benchmark replayed one trace.
     assert_eq!(engine.trace_cache().len(), 2);
-    assert_eq!(engine.trace_cache().captures(), 2);
+    assert_eq!(engine.trace_cache().computes(), 2);
     for s in spec.scenarios() {
         let fresh = s.run().unwrap();
         assert_eq!(
@@ -89,14 +89,14 @@ fn suite_runs_one_functional_execution_per_benchmark() {
     let engine = Engine::new(4);
     let twelve = run_suite_on(&engine, 12, BUDGET);
     let thirty_two = run_suite_on(&engine, 32, BUDGET);
-    assert_eq!(engine.trace_cache().captures(), Benchmark::all().len());
+    assert_eq!(engine.trace_cache().computes(), Benchmark::all().len());
     assert_eq!(engine.stats().misses, Benchmark::all().len() * 4 * 2);
     // And the sequential, lazily-simulating engine agrees point for
     // point despite a different trace-capture and simulation order.
     let seq = Engine::new(1);
     assert_eq!(run_suite_on(&seq, 12, BUDGET), twelve);
     assert_eq!(run_suite_on(&seq, 32, BUDGET), thirty_two);
-    assert_eq!(seq.trace_cache().captures(), Benchmark::all().len());
+    assert_eq!(seq.trace_cache().computes(), Benchmark::all().len());
 }
 
 #[test]
@@ -141,7 +141,7 @@ fn non_paper_axes_key_the_cache_distinctly_across_worker_counts() {
     assert_eq!(par.cache().len(), 2);
 
     // Both variants replayed the single captured gzip trace.
-    assert_eq!(seq.trace_cache().captures(), 1);
+    assert_eq!(seq.trace_cache().computes(), 1);
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn l2_latency_sweep_shares_one_annotation_per_benchmark() {
         2,
         "an L2×FU sweep must annotate each benchmark exactly once"
     );
-    assert_eq!(engine.annotation_cache().built(), 2);
+    assert_eq!(engine.annotation_cache().computes(), 2);
     assert!(engine.annotation_cache().annotated_bytes() > 0);
     for s in spec.scenarios() {
         assert_eq!(
@@ -181,7 +181,7 @@ fn l2_latency_sweep_shares_one_annotation_per_benchmark() {
         .axis_l2_latency([12, 32]);
     engine.run_sweep(&narrow_btb);
     assert_eq!(engine.annotation_cache().len(), 4);
-    assert_eq!(engine.trace_cache().captures(), 2, "traces still shared");
+    assert_eq!(engine.trace_cache().computes(), 2, "traces still shared");
     for s in narrow_btb.scenarios() {
         assert_eq!(*engine.result(s.clone()), s.run().unwrap(), "{s:?}");
     }
@@ -245,13 +245,13 @@ fn policy_sweep_is_identical_across_worker_counts_and_pure_on_warm_caches() {
 
     // Warm re-evaluation: rows reprice from the policy cache alone.
     let sims = par.stats().misses;
-    let annotations = par.annotation_cache().built();
-    let captures = par.trace_cache().captures();
+    let annotations = par.annotation_cache().computes();
+    let captures = par.trace_cache().computes();
     let again = sweep_table(&par, &spec).unwrap();
     assert_eq!(again.to_json(), table_par.to_json());
     assert_eq!(par.stats().misses, sims, "warm policy sweep re-simulated");
-    assert_eq!(par.annotation_cache().built(), annotations);
-    assert_eq!(par.trace_cache().captures(), captures);
+    assert_eq!(par.annotation_cache().computes(), annotations);
+    assert_eq!(par.trace_cache().computes(), captures);
     assert!(par.policy_cache().hits() >= again.rows().len());
 }
 
