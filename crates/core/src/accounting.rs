@@ -68,6 +68,123 @@ impl std::ops::AddAssign for PolicyRun {
     }
 }
 
+impl PolicyRun {
+    /// `k` sequential `*self += rhs`, bit-identical to that loop, in
+    /// O(accumulator binades crossed) per field instead of O(k) — see
+    /// [`repeated_add`].
+    pub(crate) fn add_n(&mut self, rhs: PolicyRun, k: u64) {
+        let (e, x) = (&mut self.energy, rhs.energy);
+        e.dynamic = repeated_add(e.dynamic, x.dynamic, k);
+        e.leak_hi = repeated_add(e.leak_hi, x.leak_hi, k);
+        e.leak_lo = repeated_add(e.leak_lo, x.leak_lo, k);
+        e.transition = repeated_add(e.transition, x.transition, k);
+        e.overhead = repeated_add(e.overhead, x.overhead, k);
+        self.active_cycles += rhs.active_cycles * k;
+        self.uncontrolled_idle_equiv =
+            repeated_add(self.uncontrolled_idle_equiv, rhs.uncontrolled_idle_equiv, k);
+        self.sleep_equiv = repeated_add(self.sleep_equiv, rhs.sleep_equiv, k);
+        self.transitions_equiv = repeated_add(self.transitions_equiv, rhs.transitions_equiv, k);
+    }
+}
+
+/// Runs below this length take the plain `+=`: the binade set-up costs
+/// more than the adds it would save.
+const REPEATED_ADD_MIN_RUN: u64 = 4;
+
+/// The value of `for _ in 0..k { s += x }`, bit for bit, in
+/// O(accumulator binades crossed) instead of O(k) when `x` is finite
+/// and positive.
+///
+/// Why it is exact: inside one binade `[2^E, 2^(E+1))` every `f64` is
+/// an integer multiple `M` of one ulp, so `s + x` is
+/// `(M + x/ulp) · ulp` rounded to nearest-even. With `x/ulp = q + r`
+/// (`q` an integer, `0 <= r < 1`) the rounded mantissa is `M + q`
+/// plus 0 when `r < 1/2`, plus 1 when `r > 1/2`, and on an exact
+/// half-ulp tie plus whichever of 0 or 1 makes it even. The increment
+/// therefore depends at most on the parity of `M`: when two steps add
+/// an even amount, the parity comes back and every later pair adds the
+/// same amount, so the run through the binade is one integer multiply
+/// on the mantissa. Anything else takes the plain `+=` and retries:
+/// a step that would leave the binade, `s` at or below zero or
+/// subnormal, `x` not finite or at or below zero, an odd pair
+/// increment (the first step of a tie), or a run too short to pay.
+pub fn repeated_add(mut s: f64, x: f64, mut k: u64) -> f64 {
+    if x == 0.0 {
+        // `s + ±0` is `s`, except that `-0 + +0` is `+0`: one add
+        // settles every sign case.
+        return if k == 0 { s } else { s + x };
+    }
+    while k > 0 {
+        if k >= REPEATED_ADD_MIN_RUN {
+            if let Some((exp, m, [i0, i1])) = binade_steps(s, x) {
+                let pair = i0 + i1;
+                if pair == 0 {
+                    // `s + x == s` at this mantissa, hence forever.
+                    return s;
+                }
+                let pairs = (k / 2).min((MANTISSA_END - 1 - m) / pair);
+                if pair % 2 == 0 && pairs > 0 {
+                    let m = m + pairs * pair;
+                    s = f64::from_bits((exp << 52) | (m - MANTISSA_HIDDEN));
+                    k -= 2 * pairs;
+                    continue;
+                }
+            }
+        }
+        s += x;
+        k -= 1;
+    }
+    s
+}
+
+/// The implicit leading bit of a normal `f64` mantissa.
+const MANTISSA_HIDDEN: u64 = 1 << 52;
+/// One past the largest mantissa of a binade.
+const MANTISSA_END: u64 = 1 << 53;
+
+/// For a normal positive `s` and a finite positive `x`: the biased
+/// exponent and full mantissa `M` of `s`, and the mantissa increments
+/// of the next two steps `s += x` if both stayed inside the binade.
+/// `None` when `s` or `x` falls outside that domain or `x` alone
+/// reaches the next binade.
+fn binade_steps(s: f64, x: f64) -> Option<(u64, u64, [u64; 2])> {
+    if !(s.is_normal() && s > 0.0 && x.is_finite() && x > 0.0) {
+        return None;
+    }
+    let (sb, xb) = (s.to_bits(), x.to_bits());
+    let exp = sb >> 52;
+    let m = (sb & (MANTISSA_HIDDEN - 1)) | MANTISSA_HIDDEN;
+    // `x = xm · 2^(xe - 1075)` and the ulp of `s` is `2^(exp - 1075)`,
+    // so `x / ulp = xm · 2^(xe - exp)`; subnormal `x` has `xe = 1`
+    // and no hidden bit.
+    let (xm, xe) = match xb >> 52 {
+        0 => (xb, 1),
+        e => ((xb & (MANTISSA_HIDDEN - 1)) | MANTISSA_HIDDEN, e),
+    };
+    if xe > exp {
+        return None; // `x >= 2^(E+1)`: no step stays in the binade
+    }
+    let shift = exp - xe;
+    // `q` and the comparison of the remainder `r` with one half.
+    let (q, r) = if shift == 0 {
+        (xm, std::cmp::Ordering::Less)
+    } else if shift >= 64 {
+        (0, std::cmp::Ordering::Less)
+    } else {
+        let rem = xm & ((1u64 << shift) - 1);
+        (xm >> shift, rem.cmp(&(1u64 << (shift - 1))))
+    };
+    let inc = |m: u64| {
+        q + match r {
+            std::cmp::Ordering::Less => 0,
+            std::cmp::Ordering::Greater => 1,
+            std::cmp::Ordering::Equal => (m + q) & 1,
+        }
+    };
+    let i0 = inc(m);
+    Some((exp, m, [i0, inc(m + i0)]))
+}
+
 /// Runs a controller over a per-cycle busy/idle stream.
 ///
 /// # Example

@@ -198,6 +198,71 @@ fn check_adaptive(breakeven: f64, weight: f64) {
     );
 }
 
+/// An AdaptiveSleep form with its parameters checked, against one
+/// model — the spectrum pricing shared by [`spectrum_run`] and the
+/// [`GridEval`] lanes.
+#[derive(Debug, Clone, Copy)]
+struct Adaptive {
+    model: EnergyModel,
+    breakeven: f64,
+    weight: f64,
+}
+
+impl Adaptive {
+    fn new(model: &EnergyModel, breakeven: f64, weight: f64) -> Self {
+        check_adaptive(breakeven, weight);
+        Adaptive {
+            model: *model,
+            breakeven,
+            weight,
+        }
+    }
+
+    /// Adds the spectrum's idle intervals to `run`, observed in
+    /// ascending-length order from the neutral prediction — bit for
+    /// bit what [`intervals_run`] adds over
+    /// [`IntervalSpectrum::to_lengths`], in O(distinct lengths × settle
+    /// steps) instead of O(intervals).
+    ///
+    /// Within one `(t, count)` entry every occurrence applies the same
+    /// map `f(e) = fl(fl((1 - w) e) + fl(w t))`, which is monotone
+    /// non-decreasing (`1 - w >= 0` and rounding is monotone), so the
+    /// prediction moves monotonically: the sleep decision
+    /// `e > breakeven` flips at most once, and once `f(e) == e` nothing
+    /// moves again. Walking the prediction alone to the flip and to the
+    /// fixed point (or to `count`) splits the entry into at most two
+    /// runs of one interval shape each, which [`PolicyRun::add_n`]
+    /// adds exactly.
+    fn price(&self, run: &mut PolicyRun, entries: &[(u64, u64)]) {
+        let hedge = adaptive_hedge_timeout(self.breakeven);
+        let keep = 1.0 - self.weight;
+        let mut ewma = self.breakeven; // neutral start, as the controller
+        for &(t, count) in entries {
+            let pull = self.weight * t as f64;
+            let sleeps = ewma > self.breakeven;
+            // Occurrences `0..flip` decide as the first one does, the
+            // rest the other way.
+            let mut flip = count;
+            let mut seen = 0;
+            while seen < count {
+                let next = keep * ewma + pull;
+                if next == ewma {
+                    break;
+                }
+                ewma = next;
+                seen += 1;
+                if flip == count && (ewma > self.breakeven) != sleeps {
+                    flip = seen;
+                }
+            }
+            let shape =
+                |sleep: bool| timeout_shape(&self.model, t, if sleep { 0 } else { t.min(hedge) });
+            run.add_n(shape(sleeps), flip);
+            run.add_n(shape(!sleeps), count - flip);
+        }
+    }
+}
+
 /// Closed-form energy breakdown of a **single** idle interval of `t`
 /// cycles under `policy`, driven by a *fresh* controller (AdaptiveSleep
 /// starts at its neutral prediction). Exact against
@@ -298,10 +363,11 @@ pub fn intervals_run(
 /// policy energy as a dot product between the spectrum and the
 /// per-length closed form, in O(distinct lengths) for every
 /// order-free policy. History-dependent AdaptiveSleep observes the
-/// spectrum in its canonical ascending-length order (equivalently,
-/// [`intervals_run`] over [`IntervalSpectrum::to_lengths`]) and
-/// therefore costs O(total intervals) — its predictor folds every
-/// interval, though still O(1) each rather than O(cycles).
+/// spectrum in its canonical ascending-length order, bit-exact to its
+/// per-occurrence oracle [`intervals_run`] over
+/// [`IntervalSpectrum::to_lengths`], at O(distinct lengths × settle
+/// steps): a monotone predictor walk plus exact k-fold adds per length
+/// (DESIGN.md §7).
 ///
 /// Agrees with [`crate::accounting::account_intervals`] and with the
 /// cycle-level controllers for every policy
@@ -318,16 +384,7 @@ pub fn spectrum_run(
         ..PolicyRun::default()
     };
     if let PolicyForm::AdaptiveSleep { breakeven, weight } = policy {
-        check_adaptive(breakeven, weight);
-        let hedge = adaptive_hedge_timeout(breakeven);
-        let mut ewma = breakeven;
-        for &(t, count) in spectrum.entries() {
-            for _ in 0..count {
-                let u = if ewma > breakeven { 0 } else { t.min(hedge) };
-                run += timeout_shape(model, t, u);
-                ewma = (1.0 - weight) * ewma + weight * t as f64;
-            }
-        }
+        Adaptive::new(model, breakeven, weight).price(&mut run, spectrum.entries());
     } else {
         for &(t, count) in spectrum.entries() {
             run += scaled(interval_run(model, policy, t), count as f64);
@@ -1080,21 +1137,6 @@ struct TsLanes {
     tr_o: Vec<f64>,
 }
 
-/// An AdaptiveSleep lane — history-dependent, so it replays the
-/// scalar recurrence verbatim (one pass per lane), against its own
-/// item's model constants.
-#[derive(Debug)]
-struct AdLane {
-    slot: usize,
-    breakeven: f64,
-    weight: f64,
-    hedge: u64,
-    active: NormalizedEnergy,
-    ui: NormalizedEnergy,
-    sl: NormalizedEnergy,
-    tr: NormalizedEnergy,
-}
-
 /// Grid-batched spectrum evaluation: prices `G` policy forms per
 /// spectrum traversal, bit-exact to [`spectrum_run`] called per form.
 ///
@@ -1119,9 +1161,9 @@ struct AdLane {
 ///   traversal entirely.
 ///
 /// AdaptiveSleep lanes are priced too, but being history-dependent
-/// they replay the scalar per-occurrence recurrence per lane
-/// (O(total intervals), exactly like [`spectrum_run`]) rather than
-/// joining the fused pass.
+/// they do not join the fused pass: each lane runs the same helper as
+/// [`spectrum_run`] — a walk of the monotone predictor per length plus
+/// at most two exact k-fold adds, O(distinct lengths × settle steps).
 ///
 /// The grid also batches across the *model* axis:
 /// [`GridEval::new_batch`] takes a list of `(model, forms)` items to
@@ -1167,7 +1209,9 @@ pub struct GridEval {
     no: Vec<(usize, usize)>,
     gs: GsLanes,
     ts: TsLanes,
-    ad: Vec<AdLane>,
+    /// AdaptiveSleep lanes, `(output index, form)`: history-dependent,
+    /// so each is priced on its own by [`spectrum_run`]'s helper.
+    ad: Vec<(usize, Adaptive)>,
     /// Shared accumulators: per-item AA lanes, then per-item MS lanes,
     /// then per-item NO lanes, then the GradualSleep lanes, then the
     /// TimeoutSleep lanes.
@@ -1297,17 +1341,7 @@ impl GridEval {
                     }
                     PolicyForm::TimeoutSleep { timeout } => ts_params.push((timeout, item, out)),
                     PolicyForm::AdaptiveSleep { breakeven, weight } => {
-                        check_adaptive(breakeven, weight);
-                        self.ad.push(AdLane {
-                            slot: out,
-                            breakeven,
-                            weight,
-                            hedge: adaptive_hedge_timeout(breakeven),
-                            active: model.active_cycle(),
-                            ui,
-                            sl,
-                            tr,
-                        });
+                        self.ad.push((out, Adaptive::new(model, breakeven, weight)));
                     }
                 }
             }
@@ -1423,7 +1457,7 @@ impl GridEval {
 
     /// Prices every form in the grid against one spectrum plus the
     /// accompanying active-cycle count, in one traversal (plus one
-    /// replay per AdaptiveSleep lane). Returns the runs item-major in
+    /// pass per AdaptiveSleep lane). Returns the runs item-major in
     /// the order the forms were given to [`GridEval::new_batch`]
     /// (equivalently, form order for the single-model constructors);
     /// each is bit-exact to
@@ -1649,27 +1683,16 @@ impl GridEval {
             self.out[self.ts.slot[j]] =
                 acc.fold(ts0 + j, self.dyn_scratch[self.ts.item[j]], active_cycles);
         }
-        // AdaptiveSleep lanes: the scalar per-occurrence recurrence,
-        // replayed verbatim per lane against its item's constants.
-        for lane in &self.ad {
-            let run = &mut self.out[lane.slot];
+        // AdaptiveSleep lanes: the scalar evaluator's helper, per lane
+        // against its item's model.
+        for &(slot, form) in &self.ad {
+            let run = &mut self.out[slot];
             *run = PolicyRun {
-                energy: lane.active * cycles_f,
+                energy: form.model.active_cycle() * cycles_f,
                 active_cycles,
                 ..PolicyRun::default()
             };
-            let mut ewma = lane.breakeven;
-            for &(t, count) in spectrum.entries() {
-                for _ in 0..count {
-                    let u = if ewma > lane.breakeven {
-                        0
-                    } else {
-                        t.min(lane.hedge)
-                    };
-                    *run += timeout_shape_parts(&lane.ui, &lane.sl, &lane.tr, t, u);
-                    ewma = (1.0 - lane.weight) * ewma + lane.weight * t as f64;
-                }
-            }
+            form.price(run, entries);
         }
         &self.out
     }
@@ -1707,29 +1730,6 @@ pub fn assemble_axis_run(leak_row: &PolicyRun, transition_row: &PolicyRun) -> Po
         },
         ..*leak_row
     }
-}
-
-/// [`timeout_shape`] over pre-fetched per-cycle constants — the same
-/// expression tree, so the same bits.
-fn timeout_shape_parts(
-    ui: &NormalizedEnergy,
-    sl: &NormalizedEnergy,
-    tr: &NormalizedEnergy,
-    t: u64,
-    u: u64,
-) -> PolicyRun {
-    debug_assert!(u <= t);
-    let mut run = PolicyRun {
-        energy: *ui * u as f64,
-        uncontrolled_idle_equiv: u as f64,
-        ..PolicyRun::default()
-    };
-    if t > u {
-        run.energy += *tr + *sl * (t - u) as f64;
-        run.transitions_equiv = 1.0;
-        run.sleep_equiv = (t - u) as f64;
-    }
-    run
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! simulator records per functional unit (replacing raw `Vec<u64>`
 //! interval lists) and the representation
 //! [`crate::policy_eval::spectrum_run`] evaluates policies over in
-//! O(distinct lengths) instead of O(intervals) or O(cycles) — except
-//! the history-dependent AdaptiveSleep, which evaluates in the
-//! spectrum's canonical ascending order at O(1) per interval.
+//! O(distinct lengths) instead of O(intervals) or O(cycles) — the
+//! history-dependent AdaptiveSleep evaluates in the spectrum's
+//! canonical ascending order at O(distinct lengths × settle steps).
 //!
 //! Unlike [`crate::IdleHistogram`] (log2-bucketed, lossy, fixed 14
 //! buckets — a *view* for Figure 7), a spectrum is exact: every

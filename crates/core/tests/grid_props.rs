@@ -12,12 +12,19 @@
 //! also draws TimeoutSleep-only and AdaptiveSleep-only grids, whose
 //! traversals skip the parameterless-family pass.
 //!
+//! The AdaptiveSleep property pins the evaluators' shared fast path
+//! (a monotone predictor walk plus exact k-fold adds per spectrum
+//! line) against its one per-occurrence oracle, [`intervals_run`] over
+//! [`IntervalSpectrum::to_lengths`], on adversarial spectra.
+//!
 //! The axis-assembly properties pin the explorer's field-dependence
 //! rule: a run at `(p_i, E_slp_j)` is the run at `(p_i, E_slp_0)` with
 //! `energy.overhead` taken from the run at `(p_0, E_slp_j)`.
 
 use fuleak_core::accounting::PolicyRun;
-use fuleak_core::policy_eval::{assemble_axis_run, spectrum_run, GridEval, PolicyForm};
+use fuleak_core::policy_eval::{
+    assemble_axis_run, intervals_run, spectrum_run, GridEval, PolicyForm,
+};
 use fuleak_core::tech::{DEFAULT_DUTY_CYCLE, DEFAULT_LEAK_RATIO};
 use fuleak_core::{breakeven_interval, EnergyModel, IntervalSpectrum, TechnologyParams};
 use proptest::prelude::*;
@@ -287,6 +294,110 @@ proptest! {
             let got = assemble_axis_run(&totals[k], &totals[n + k]);
             prop_assert_eq!(bits(&got), bits(&totals[2 * n + k]));
             prop_assert_eq!(bits(&got), bits(&scalar[k]));
+        }
+    }
+}
+
+/// AdaptiveSleep weights that stress the fast path: `1e-12` never
+/// lets the predictor settle within a line (the walk runs to the
+/// line's end), `0.25` is the experiments' default, and `1 - 2^-52`
+/// and `1` keep one ulp of memory or none.
+fn adaptive_weight() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(1e-12),
+        Just(0.25),
+        Just(1.0 - f64::EPSILON),
+        Just(1.0),
+        0.001f64..1.0,
+    ]
+}
+
+prop_compose! {
+    /// A light spectrum line: `(where, raw length, count)`; `where`
+    /// 0 puts the line at `⌊breakeven⌋`, 1 at `⌊breakeven⌋ + 1`, and
+    /// anything else at the raw length. Short raw lengths are drawn
+    /// often: they pull the predictor below the breakeven, so a later
+    /// line above it flips the decision mid-line, not on its first
+    /// interval.
+    fn light_line()(
+        at in 0u8..4,
+        raw in prop_oneof![1u64..16, 1u64..3000],
+        count in 1u64..10,
+    ) -> (u8, u64, u64) {
+        (at, raw, count)
+    }
+}
+
+prop_compose! {
+    /// A heavy spectrum line of 10^4 to 10^6 intervals.
+    fn heavy_line()(
+        at in 0u8..4,
+        raw in 1u64..3000,
+        count in prop_oneof![10_000u64..100_000, 100_000u64..=1_000_000],
+    ) -> (u8, u64, u64) {
+        (at, raw, count)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// AdaptiveSleep on adversarial spectra — huge line counts, lines
+    /// at `⌊breakeven⌋` and `⌊breakeven⌋ + 1`, integral and fractional
+    /// breakevens, weights near 0 and 1 — priced by `spectrum_run` and
+    /// by a mixed-model `GridEval` batch, each bit-identical to the
+    /// per-occurrence oracle.
+    #[test]
+    fn adaptive_fast_path_equals_the_occurrence_oracle(
+        models in proptest::collection::vec(model_point(), 1..3),
+        weights in proptest::collection::vec(adaptive_weight(), 4..5),
+        light in proptest::collection::vec(light_line(), 0..6),
+        heavy in heavy_line(),
+        active in 0u64..1000,
+    ) {
+        let mut spectrum = IntervalSpectrum::default();
+        for &(at, raw, count) in light.iter().chain([&heavy]) {
+            let be = breakeven_interval(&models[raw as usize % models.len()]);
+            let floor = be.floor().max(1.0) as u64;
+            let length = match at {
+                0 => floor,
+                1 => floor + 1,
+                _ => raw,
+            };
+            spectrum.record_n(length, count);
+        }
+        let pools: Vec<(EnergyModel, Vec<PolicyForm>)> = models
+            .iter()
+            .zip(weights.chunks(2))
+            .map(|(model, w)| {
+                let be = breakeven_interval(model);
+                let forms = vec![
+                    PolicyForm::AdaptiveSleep { breakeven: be, weight: w[0] },
+                    PolicyForm::MaxSleep,
+                    PolicyForm::AdaptiveSleep { breakeven: be.floor().max(1.0), weight: w[1] },
+                    PolicyForm::TimeoutSleep { timeout: be as u64 },
+                ];
+                (*model, forms)
+            })
+            .collect();
+        let items: Vec<(&EnergyModel, &[PolicyForm])> = pools
+            .iter()
+            .map(|(model, forms)| (model, forms.as_slice()))
+            .collect();
+        let mut grid = GridEval::new_batch(&items);
+        let batch = grid.run(active, &spectrum).to_vec();
+        let lengths = spectrum.to_lengths();
+        let mut i = 0;
+        for (model, forms) in &pools {
+            for &form in forms {
+                let by_spectrum = spectrum_run(model, form, active, &spectrum);
+                prop_assert_eq!(bits(&batch[i]), bits(&by_spectrum));
+                if let PolicyForm::AdaptiveSleep { .. } = form {
+                    let oracle = intervals_run(model, form, active, &lengths);
+                    prop_assert_eq!(bits(&by_spectrum), bits(&oracle));
+                }
+                i += 1;
+            }
         }
     }
 }

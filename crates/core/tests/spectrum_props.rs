@@ -17,9 +17,11 @@
 //! across intervals, so the spectrum evaluator is pinned against the
 //! canonical ascending-length order it is defined over. Spectrum
 //! merge laws (commutativity, associativity, agreement with list
-//! concatenation) ride along.
+//! concatenation) ride along, as does the exact k-fold add
+//! ([`repeated_add`]) the AdaptiveSleep evaluator accumulates with: it
+//! must equal the naive `+=` loop bit for bit.
 
-use fuleak_core::accounting::{account_intervals, simulate_intervals, PolicyRun};
+use fuleak_core::accounting::{account_intervals, repeated_add, simulate_intervals, PolicyRun};
 use fuleak_core::closed_form::BoundaryPolicy;
 use fuleak_core::policy_eval::{intervals_run, spectrum_run, PolicyForm};
 use fuleak_core::{breakeven_interval, EnergyModel, IntervalSpectrum, TechnologyParams};
@@ -202,5 +204,118 @@ proptest! {
             &IntervalSpectrum::from_lengths(&ab_c.to_lengths()),
             &ab_c
         );
+    }
+}
+
+/// `2^e` for a normal exponent `e`.
+fn pow2(e: i32) -> f64 {
+    f64::from_bits(((e + 1023) as u64) << 52)
+}
+
+/// The normal `f64` with unbiased exponent `e` and stored mantissa
+/// bits `frac`: `(2^52 + frac) · 2^(e - 52)`.
+fn normal(e: i32, frac: u64) -> f64 {
+    f64::from_bits(((e + 1023) as u64) << 52 | (frac & ((1 << 52) - 1)))
+}
+
+fn run_length() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..8, 0u64..2000, 0u64..=1_000_000]
+}
+
+prop_compose! {
+    /// An exact half-ulp tie: `x = (q + 1/2) · ulp(s)`, with the
+    /// parities of `q` and of the mantissa of `s` drawn explicitly.
+    /// Large `q` carries the run across one or more binades, where the
+    /// tie dissolves.
+    fn tie_case()(
+        e in -900i32..900,
+        frac in any::<u64>(),
+        odd_mantissa in any::<bool>(),
+        q_half in prop_oneof![0u64..4, 0u64..1000, 0u64..(1 << 40)],
+        odd_q in any::<bool>(),
+        k in run_length(),
+    ) -> (f64, f64, u64) {
+        let s = normal(e, (frac & !1) | u64::from(odd_mantissa));
+        let q = 2 * q_half + u64::from(odd_q);
+        (s, (2 * q + 1) as f64 * pow2(e - 53), k)
+    }
+}
+
+prop_compose! {
+    /// A normal `s` and an `x` anywhere from far below half an ulp of
+    /// `s` (`x / s ≈ 2^-80`) to far above `s` (`2^20`).
+    fn scaled_case()(
+        e in -200i32..200,
+        frac in any::<u64>(),
+        de in -80i32..20,
+        xfrac in any::<u64>(),
+        k in run_length(),
+    ) -> (f64, f64, u64) {
+        (normal(e, frac), normal(e + de, xfrac), k)
+    }
+}
+
+prop_compose! {
+    /// The fallback domain: `s` at ±0, subnormal or `MIN_POSITIVE`;
+    /// `x` at ±0, subnormal, tiny or ordinary; plus a few `x` outside
+    /// the fast path (negative, infinite, NaN).
+    fn edge_case()(
+        s_pick in 0u8..5,
+        s_frac in 1u64..(1 << 52),
+        x_pick in 0u8..8,
+        x_frac in 1u64..(1 << 52),
+        k in prop_oneof![0u64..8, 0u64..5000],
+    ) -> (f64, f64, u64) {
+        let s = match s_pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(s_frac),
+            3 => f64::MIN_POSITIVE,
+            _ => normal(-1000, s_frac),
+        };
+        let x = match x_pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(x_frac),
+            3 => normal(-1010, x_frac),
+            4 => normal(3, x_frac),
+            5 => -normal(0, x_frac),
+            6 => f64::INFINITY,
+            _ => f64::NAN,
+        };
+        (s, x, k)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The k-fold add equals `k` sequential `+=`s by bit pattern:
+    /// ties of both parities, binade crossings, far-below-half-ulp and
+    /// far-above-`s` increments, and every fallback domain.
+    #[test]
+    fn repeated_add_equals_the_naive_loop(
+        case in prop_oneof![tie_case(), scaled_case(), edge_case()],
+    ) {
+        let (s, x, k) = case;
+        let mut naive = s;
+        for _ in 0..k {
+            naive += x;
+        }
+        prop_assert_eq!(repeated_add(s, x, k).to_bits(), naive.to_bits());
+    }
+}
+
+#[test]
+fn repeated_add_handles_a_tie_whose_first_step_rounds_up() {
+    // `s = 1 + ulp` (odd mantissa), `x = 2.5 ulp`: the first step is a
+    // tie rounding up (to `1 + 4 ulp`), every later one a tie rounding
+    // down (`+2 ulp`), so a constant per-step increment is wrong.
+    let ulp = f64::EPSILON;
+    let (s, x) = (1.0 + ulp, 2.5 * ulp);
+    let mut naive = s;
+    for k in 0..64u64 {
+        assert_eq!(repeated_add(s, x, k).to_bits(), naive.to_bits(), "k = {k}");
+        naive += x;
     }
 }

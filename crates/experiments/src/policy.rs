@@ -19,9 +19,11 @@
 //! Pricing itself is [`fuleak_core::policy_eval::spectrum_run`] — the
 //! closed-form evaluator over each FU's `IntervalSpectrum` — so one
 //! evaluation is O(distinct interval lengths) per FU for the
-//! order-free families, and O(total intervals) for the
-//! history-dependent AdaptiveSleep (canonical ascending order, O(1)
-//! per interval).
+//! order-free families, and O(distinct lengths × settle steps) for the
+//! history-dependent AdaptiveSleep (canonical ascending order; within
+//! one length its predictor moves monotonically, so each line splits
+//! into at most two runs of one interval shape, added with an exact
+//! k-fold add).
 
 use crate::scenario::{Memo, Scenario};
 use fuleak_core::accounting::PolicyRun;

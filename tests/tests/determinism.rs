@@ -340,3 +340,62 @@ fn sibling_replay_is_identical_across_jobs_and_store_tiers() {
         assert_eq!(*oracle.result(s.clone()), s.run().unwrap(), "{s:?}");
     }
 }
+
+#[test]
+fn adaptive_pricing_is_bit_identical_to_the_occurrence_oracle_on_real_spectra() {
+    // AdaptiveSleep pricing walks its predictor per spectrum line and
+    // adds each constant interval shape with an exact k-fold add. On
+    // every FU spectrum of the Table 3 suite (every FU-count candidate
+    // at the quick budget) and at three leakage points, the engine's
+    // priced run must equal the per-occurrence oracle — `intervals_run`
+    // over each FU's canonical interval list, summed over FUs in FU
+    // order — bit for bit.
+    use fuleak_core::accounting::PolicyRun;
+    use fuleak_core::policy_eval::intervals_run;
+    use fuleak_experiments::policy::{EvalPoint, PolicyKind};
+    use fuleak_experiments::scenario::FU_CANDIDATES;
+
+    fn bits(r: &PolicyRun) -> [u64; 9] {
+        let e = &r.energy;
+        [
+            e.dynamic.to_bits(),
+            e.leak_hi.to_bits(),
+            e.leak_lo.to_bits(),
+            e.transition.to_bits(),
+            e.overhead.to_bits(),
+            r.active_cycles,
+            r.uncontrolled_idle_equiv.to_bits(),
+            r.sleep_equiv.to_bits(),
+            r.transitions_equiv.to_bits(),
+        ]
+    }
+
+    let engine = Engine::new(2);
+    let suite = run_suite_on(&engine, 12, Budget::Quick);
+    let mut priced = 0;
+    for run in &suite.runs {
+        for fus in FU_CANDIDATES {
+            let s = Scenario::paper(run.name, fus, 12, Budget::Quick);
+            let sim = engine.result(s.clone());
+            for leak in [0.01, 0.2, 0.9] {
+                let point = EvalPoint {
+                    policy: PolicyKind::AdaptiveSleep,
+                    slices: None,
+                    leak,
+                    transition: fuleak_core::tech::DEFAULT_SLEEP_OVERHEAD,
+                };
+                let model = point.model().unwrap();
+                let form = point.policy.form(&model, None);
+                let mut oracle = PolicyRun::default();
+                for (fu, spectrum) in sim.fu_idle.iter().enumerate() {
+                    oracle +=
+                        intervals_run(&model, form, sim.fu_active[fu], &spectrum.to_lengths());
+                }
+                let got = engine.policy_run(&s, form, &model);
+                assert_eq!(bits(&got), bits(&oracle), "{} x{fus} p={leak}", run.name);
+                priced += 1;
+            }
+        }
+    }
+    assert_eq!(priced, suite.runs.len() * 4 * 3);
+}
