@@ -1226,7 +1226,7 @@ impl GridEval {
     /// inverts once the per-lane working set (seven accumulator rows
     /// plus the per-lane constants and ramp rows) outgrows L1 — at the
     /// default 68-form grid, four items ≈ 15 KiB of accumulators.
-    /// Measured on the `repro bench` explore workload: 4 beats both 1
+    /// Measured on the default explore grid: 4 beats both 1
     /// (~20% faster) and 22 (~25% faster). Callers with many models to
     /// price should renew one kernel over `chunks(PREFERRED_BATCH)`.
     pub const PREFERRED_BATCH: usize = 4;

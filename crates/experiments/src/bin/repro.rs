@@ -1,11 +1,16 @@
-//! `repro` — regenerate any table or figure of the paper, or run an
-//! ad-hoc multi-axis machine sweep.
+//! `repro` — regenerate any table or figure of the paper, run an
+//! ad-hoc multi-axis machine sweep, or serve both over HTTP.
 //!
 //! ```text
 //! repro <experiment>... | all   [options]
 //! repro sweep [axis flags]      [options]
 //! repro explore [axis flags]    [options]
+//! repro store stats|clear|gc    [options]
+//! repro serve [serve flags]     [options]
 //! ```
+//!
+//! The binary does no benchmarking of its own: `perfbench/` at the
+//! repository root is the one harness.
 //!
 //! `<experiment>` is one of `table1`, `table2`, `table3`, `fig3`,
 //! `fig4a`, `fig4b`, `fig4c`, `fig4d`, `fig5c`, `fig7`, `fig8a`,
@@ -23,7 +28,9 @@
 //!   `<experiment>.csv` artifacts into `DIR`.
 //!
 //! Sweep axis flags take value lists — comma-separated values and
-//! inclusive `lo:hi` ranges, mixable (`1:4`, `2,4,8`, `1:2,8`):
+//! inclusive `lo:hi` ranges, mixable (`1:4`, `2,4,8`, `1:2,8`). A list
+//! is counted before it is expanded and refused past
+//! `cli::MAX_AXIS_VALUES` (10 000) values:
 //!
 //! * `--bench A,B` — benchmarks (default: all nine);
 //! * `--int-fus` — integer FU count (default 1:4);
@@ -68,8 +75,6 @@ use fuleak_experiments::cli::{apply_explore_flag, apply_sweep_flag};
 use fuleak_experiments::experiment::{self, sweep_table, Context};
 use fuleak_experiments::explore::{explore, ExploreSpec};
 use fuleak_experiments::harness::Budget;
-use fuleak_experiments::loadgen::{self, LoadSpec};
-use fuleak_experiments::policy::PolicyKind;
 use fuleak_experiments::render;
 use fuleak_experiments::result::ResultTable;
 use fuleak_experiments::scenario::{Engine, SweepSpec};
@@ -98,10 +103,8 @@ const USAGE: &str = "usage: repro <experiment>|all [--quick|--budget N] [--jobs 
        repro sweep [--bench A,B] [--int-fus L] [--l2 L] [--width L] [--rob L] [--l1d-kb L] [--l2-kb L] [--mem L] [--mshrs L]
                    [--policy P,Q] [--slices L] [--leak F,G] [--transition F,G] [options]
        repro explore [--bench A,B] [--policy P,Q] [--slices L] [--leak R] [--transition R] [options]
-       repro bench [--runs N] [--jobs N] [--out DIR]
        repro store stats|clear|gc --max-mb N   (needs --store DIR or FULEAK_STORE)
        repro serve [--addr HOST:PORT] [--workers N] [--queue N] [--no-respcache] [--quick|--budget N] [--jobs N] [--store DIR]
-       repro loadgen --addr HOST:PORT [--path TARGET] [--clients N] [--requests N] [--close] [--out DIR]
        (value lists L: comma values and lo:hi[:step] ranges, e.g. 1:4 or 2,4,8; F,G: fractions in [0,1];
         explore fraction ranges R: fractions and lo:hi:step ranges, e.g. 0:1:0.02;
         --store DIR / FULEAK_STORE=DIR attach a persistent result store behind the engine caches)";
@@ -359,484 +362,6 @@ fn run_explore(args: &[&str], opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Times one closure over `runs` repetitions; returns every wall
-/// clock in seconds, in run order.
-fn time_runs(runs: usize, mut work: impl FnMut()) -> Vec<f64> {
-    (0..runs)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            work();
-            start.elapsed().as_secs_f64()
-        })
-        .collect()
-}
-
-fn json_seconds(seconds: &[f64]) -> String {
-    let list = seconds
-        .iter()
-        .map(|s| format!("{s:.3}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let best = seconds.iter().cloned().fold(f64::INFINITY, f64::min);
-    format!("{{\"seconds\": [{list}], \"best_seconds\": {best:.3}}}")
-}
-
-/// Runs `repro bench`: a machine-readable wall-clock harness for the
-/// perf trajectory (`BENCH_PR4.json` and the CI perf-smoke artifact).
-/// Times, best-of-N on a cold engine each run:
-///
-/// * the full `repro all --quick` experiment suite (tables rendered
-///   but not printed),
-/// * a standard fixed-geometry sweep (2 benchmarks × FU 1–4 × four L2
-///   latencies = 32 points) — the shape the annotation cache
-///   accelerates most,
-/// * that sweep against a persistent store, cold (simulate +
-///   write-behind) vs warm (a fresh engine served entirely from
-///   disk — asserted zero-simulation and byte-identical first),
-/// * a dense policy grid over the quick suite's warm spectra: the
-///   scalar `policy_energy_of` loop vs the `GridEval` kernel
-///   (asserted identical per form before timing), and
-/// * the full default `repro explore` grid end-to-end on a fresh
-///   engine (the ≥10⁶-points acceptance number).
-fn run_bench(args: &[&str], opts: &Options) -> Result<(), String> {
-    let mut runs = 3usize;
-    let mut it = args.iter();
-    while let Some(&flag) = it.next() {
-        let (flag, value) = match flag.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (flag, None),
-        };
-        match flag {
-            "--runs" => {
-                let v = match value {
-                    Some(v) => v,
-                    None => it
-                        .next()
-                        .map(|s| s.to_string())
-                        .ok_or_else(|| "--runs needs a value".to_string())?,
-                };
-                runs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("invalid --runs value `{v}`"))?;
-            }
-            other => return Err(format!("unknown bench flag `{other}`")),
-        }
-    }
-    // The harness always times Budget::Quick (that is the recorded
-    // trajectory); reject shared options it would silently ignore
-    // rather than let `--budget 2000000` pretend to have been timed.
-    if let Budget::Custom(_) = opts.budget {
-        return Err("repro bench always times --quick; --budget is not supported".to_string());
-    }
-    if opts.format != Format::Text {
-        return Err("repro bench emits JSON only; --format is not supported".to_string());
-    }
-    let jobs = opts.engine.jobs();
-    eprintln!(
-        "[repro] bench: {runs} run(s) of `all --quick`, and a 32-point sweep ({jobs} workers)..."
-    );
-    let all_quick = time_runs(runs, || {
-        let engine = Engine::new(jobs);
-        let mut ctx = Context::new(&engine, Budget::Quick).with_progress(false);
-        for name in experiment::names() {
-            let exp = experiment::by_name(name).expect("registry names resolve");
-            let _ = exp.run(&mut ctx);
-        }
-    });
-    let sweep_spec = || {
-        SweepSpec::new(Budget::Quick)
-            .benches(["gzip", "vpr"])
-            .axis_int_fus(1..=4)
-            .axis_l2_latency([12, 18, 24, 32])
-    };
-    let sweep_points = sweep_spec().scenarios().len();
-    let sweep = time_runs(runs, || {
-        let engine = Engine::new(jobs);
-        engine.run_sweep(&sweep_spec());
-    });
-
-    // Persistent-store workload: the same fixed-geometry sweep against
-    // a scratch store directory — cold (simulate + write-behind) vs
-    // warm (a fresh engine reading every point back from disk). The
-    // warm pass asserts zero simulations and byte-identical tables
-    // before being timed, so the ratio is the pure warm-start win.
-    use fuleak_experiments::experiment::sweep_table;
-    use fuleak_experiments::ResultStore;
-    let store_dir = std::env::temp_dir().join(format!("fuleak-bench-store-{}", std::process::id()));
-    let open_store = |dir: &std::path::Path| {
-        std::sync::Arc::new(ResultStore::open(dir).expect("open bench store directory"))
-    };
-    {
-        let _ = std::fs::remove_dir_all(&store_dir);
-        let cold = Engine::new(jobs);
-        cold.set_store(Some(open_store(&store_dir)));
-        cold.run_sweep(&sweep_spec());
-        let reference = sweep_table(&cold, &sweep_spec()).expect("cold store sweep");
-        let warm = Engine::new(jobs);
-        warm.set_store(Some(open_store(&store_dir)));
-        assert_eq!(
-            warm.run_sweep(&sweep_spec()),
-            0,
-            "warm store must serve every sweep point"
-        );
-        let replayed = sweep_table(&warm, &sweep_spec()).expect("warm store sweep");
-        assert!(
-            replayed.to_json() == reference.to_json(),
-            "store round-trip changed the sweep table"
-        );
-    }
-    eprintln!("[repro] bench: {sweep_points}-point sweep, cold vs warm persistent store...");
-    let store_cold = time_runs(runs, || {
-        let _ = std::fs::remove_dir_all(&store_dir);
-        let engine = Engine::new(jobs);
-        engine.set_store(Some(open_store(&store_dir)));
-        engine.run_sweep(&sweep_spec());
-    });
-    let store_warm = time_runs(runs, || {
-        let engine = Engine::new(jobs);
-        engine.set_store(Some(open_store(&store_dir)));
-        engine.run_sweep(&sweep_spec());
-    });
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    // Policy-evaluation workload: price a policy × slices × leakage
-    // grid over the quick suite (a) with the closed-form spectrum
-    // evaluator and (b) with the historical per-interval replay
-    // (`account_intervals` over the expanded interval lists — the
-    // pre-spectrum implementation). Identical energies, so the ratio
-    // is the pure per-point policy-evaluation speedup.
-    use fuleak_core::accounting::account_intervals;
-    use fuleak_core::closed_form::BoundaryPolicy;
-    use fuleak_core::{EnergyModel, PolicyForm, TechnologyParams};
-    use fuleak_experiments::harness::run_suite_on;
-    use fuleak_experiments::policy::policy_energy_of;
-    let engine = Engine::new(jobs);
-    let suite = run_suite_on(&engine, 12, Budget::Quick);
-    let lists: Vec<Vec<Vec<u64>>> = suite
-        .runs
-        .iter()
-        .map(|r| r.sim.fu_idle.iter().map(|s| s.to_lengths()).collect())
-        .collect();
-    let grid: Vec<(PolicyKind, Option<u32>)> = vec![
-        (PolicyKind::MaxSleep, None),
-        (PolicyKind::AlwaysActive, None),
-        (PolicyKind::NoOverhead, None),
-        (PolicyKind::GradualSleep, None),
-        (PolicyKind::GradualSleep, Some(2)),
-        (PolicyKind::GradualSleep, Some(8)),
-        (PolicyKind::GradualSleep, Some(32)),
-        (PolicyKind::GradualSleep, Some(128)),
-    ];
-    let leaks = [0.05, 0.5];
-    let policy_points = grid.len() * leaks.len() * suite.runs.len();
-    let model_at = |p: f64| {
-        EnergyModel::new(
-            TechnologyParams::with_leakage_factor(p).expect("p in range"),
-            0.5,
-        )
-        .expect("alpha in range")
-    };
-    let boundary_of = |form: PolicyForm| match form {
-        PolicyForm::MaxSleep => BoundaryPolicy::MaxSleep,
-        PolicyForm::AlwaysActive => BoundaryPolicy::AlwaysActive,
-        PolicyForm::NoOverhead => BoundaryPolicy::NoOverhead,
-        PolicyForm::GradualSleep { slices } => BoundaryPolicy::GradualSleep { slices },
-        _ => unreachable!("the bench grid holds boundary policies only"),
-    };
-    // Sanity: both paths price one point identically before timing.
-    {
-        let model = model_at(0.5);
-        let form = PolicyKind::GradualSleep.form(&model, Some(8));
-        let by_spectrum = policy_energy_of(&model, form, &suite.runs[0].sim);
-        let by_replay: f64 = lists[0]
-            .iter()
-            .enumerate()
-            .map(|(fu, list)| {
-                account_intervals(
-                    &model,
-                    boundary_of(form),
-                    suite.runs[0].sim.fu_active[fu],
-                    list,
-                )
-                .energy
-                .total()
-            })
-            .sum();
-        assert!(
-            (by_spectrum.energy.total() - by_replay).abs() / by_replay < 1e-9,
-            "spectrum and replay paths disagree"
-        );
-    }
-    eprintln!(
-        "[repro] bench: policy evaluation, {policy_points} points, spectrum vs interval replay..."
-    );
-    let policy_spectrum = time_runs(runs, || {
-        for &p in &leaks {
-            let model = model_at(p);
-            for run in &suite.runs {
-                for &(kind, slices) in &grid {
-                    let form = kind.form(&model, slices);
-                    std::hint::black_box(policy_energy_of(&model, form, &run.sim));
-                }
-            }
-        }
-    });
-    let policy_replay = time_runs(runs, || {
-        for &p in &leaks {
-            let model = model_at(p);
-            for (run, fu_lists) in suite.runs.iter().zip(&lists) {
-                for &(kind, slices) in &grid {
-                    let form = kind.form(&model, slices);
-                    let boundary = boundary_of(form);
-                    for (fu, list) in fu_lists.iter().enumerate() {
-                        std::hint::black_box(account_intervals(
-                            &model,
-                            boundary,
-                            run.sim.fu_active[fu],
-                            list,
-                        ));
-                    }
-                }
-            }
-        }
-    });
-    let best = |secs: &[f64]| secs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let per_point_us = |secs: &[f64]| 1e6 * best(secs) / policy_points as f64;
-    let speedup = per_point_us(&policy_replay) / per_point_us(&policy_spectrum);
-    let policy_side = |secs: &[f64]| {
-        format!(
-            "{{\"best_seconds\": {:.6}, \"per_point_us\": {:.2}}}",
-            best(secs),
-            per_point_us(secs)
-        )
-    };
-
-    // Grid-kernel workload: price a dense policy grid over the quick
-    // suite's warm spectra (a) with the scalar per-point
-    // `policy_energy_of` loop and (b) with `GridEval` — G forms per
-    // spectrum traversal. Results are asserted identical per form
-    // before timing, so the ratio isolates the traversal batching.
-    use fuleak_core::accounting::PolicyRun;
-    use fuleak_core::GridEval;
-    use fuleak_experiments::explore::{explore, fraction_steps, ExploreSpec};
-    // The form grid is exactly the default exploration's per-item
-    // grid (all five families, GradualSleep slices 1..=64), so the
-    // measured ratio is the one `repro explore` actually sees.
-    let grid_combos: Vec<(PolicyKind, Option<u32>)> = ExploreSpec::new(Budget::Quick).form_combos();
-    let grid_models: Vec<_> = fraction_steps(0.0, 1.0, 0.1)
-        .into_iter()
-        .flat_map(|p| [(p, 0.01), (p, 0.5)])
-        .map(|(p, tr)| {
-            EnergyModel::new(
-                TechnologyParams::new(p, 0.001, tr, 0.5).expect("bench fractions in range"),
-                0.5,
-            )
-            .expect("alpha in range")
-        })
-        .collect();
-    let grid_points = grid_combos.len() * grid_models.len() * suite.runs.len();
-    // Models fuse into batches of `PREFERRED_BATCH`: the kernel prices
-    // every (model, form) lane of a batch in the same spectrum
-    // traversal, so per-entry decode and partition walks amortize
-    // across the group while the accumulator working set stays in L1.
-    // Form lists are per model (TimeoutSleep resolves the model's
-    // break-even interval).
-    let grid_forms: Vec<Vec<_>> = grid_models
-        .iter()
-        .map(|model| grid_combos.iter().map(|&(k, s)| k.form(model, s)).collect())
-        .collect();
-    let grid_groups: Vec<Vec<(&EnergyModel, &[_])>> = grid_models
-        .chunks(GridEval::PREFERRED_BATCH)
-        .zip(grid_forms.chunks(GridEval::PREFERRED_BATCH))
-        .map(|(models, forms)| {
-            models
-                .iter()
-                .zip(forms)
-                .map(|(model, forms)| (model, forms.as_slice()))
-                .collect()
-        })
-        .collect();
-    // The warm kernel is built once outside the timed region — the
-    // explorer likewise reuses one kernel per worker — so the timed
-    // loop measures renew (lane rebuild) + traversals, not the
-    // one-time ramp-table construction.
-    let mut grid = GridEval::new_batch(&grid_groups[0]);
-    {
-        // Same batched structure as the timed loop below, so the
-        // assertion covers exactly the code path being timed.
-        let mut totals: Vec<PolicyRun> = Vec::new();
-        for items in &grid_groups {
-            grid.renew_batch(items);
-            for run in &suite.runs {
-                totals.clear();
-                totals.resize(grid.grid_len(), PolicyRun::default());
-                for (fu, spectrum) in run.sim.fu_idle.iter().enumerate() {
-                    for (total, one) in totals
-                        .iter_mut()
-                        .zip(grid.run(run.sim.fu_active[fu], spectrum))
-                    {
-                        *total += *one;
-                    }
-                }
-                for ((model, forms), item_totals) in
-                    items.iter().zip(totals.chunks(grid_combos.len()))
-                {
-                    for (&form, got) in forms.iter().zip(item_totals) {
-                        assert!(
-                            *got == policy_energy_of(model, form, &run.sim),
-                            "grid kernel and scalar loop disagree on a policy point"
-                        );
-                    }
-                }
-            }
-        }
-    }
-    eprintln!(
-        "[repro] bench: grid kernel, {grid_points} points ({} forms/grid), scalar vs grid...",
-        grid_combos.len()
-    );
-    let grid_scalar = time_runs(runs, || {
-        for model in &grid_models {
-            let forms: Vec<_> = grid_combos.iter().map(|&(k, s)| k.form(model, s)).collect();
-            for run in &suite.runs {
-                for &form in &forms {
-                    std::hint::black_box(policy_energy_of(model, form, &run.sim));
-                }
-            }
-        }
-    });
-    let mut totals: Vec<PolicyRun> = Vec::new();
-    let grid_batched = time_runs(runs, || {
-        for items in &grid_groups {
-            grid.renew_batch(items);
-            for run in &suite.runs {
-                totals.clear();
-                totals.resize(grid.grid_len(), PolicyRun::default());
-                for (fu, spectrum) in run.sim.fu_idle.iter().enumerate() {
-                    for (total, one) in totals
-                        .iter_mut()
-                        .zip(grid.run(run.sim.fu_active[fu], spectrum))
-                    {
-                        *total += *one;
-                    }
-                }
-                std::hint::black_box(&mut totals);
-            }
-        }
-    });
-
-    // End-to-end default exploration: the full default grid through
-    // `explore()` on a fresh engine each run (substrate simulation
-    // included), the number the ≥10⁶-points acceptance pins.
-    let explore_spec = ExploreSpec::new(Budget::Quick);
-    let explore_points = explore_spec.points();
-    eprintln!("[repro] bench: default explore, {explore_points} grid points end-to-end...");
-    let explore_runs = time_runs(runs, || {
-        let engine = Engine::new(jobs);
-        std::hint::black_box(explore(&engine, &explore_spec));
-    });
-
-    // Serving-tier workload: the same fixed-geometry sweep over HTTP.
-    // Cold: 8 concurrent clients race one cold sweep — the engine's
-    // single-flight layer must simulate each grid point exactly once,
-    // so the dedup factor is requested/simulated points. Warm:
-    // closed-loop throughput with keep-alive + response cache (the
-    // production path), keep-alive without the cache (render per
-    // request), and connection-per-request without the cache (the
-    // pre-pool thread-per-connection baseline).
-    let serve_target = "/sweep?bench=gzip,vpr&int-fus=1:4&l2=12,18,24,32&format=json";
-    eprintln!("[repro] bench: serving tier, {sweep_points}-point sweep over HTTP...");
-    let serve_engine = std::sync::Arc::new(Engine::new(jobs));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        std::sync::Arc::clone(&serve_engine),
-        Budget::Quick,
-    )
-    .map_err(|e| format!("bench serve: {e}"))?;
-    let serve_addr = server.local_addr().to_string();
-    let handle = server.spawn();
-    let mut cold_spec = LoadSpec::new(serve_addr.clone(), serve_target);
-    cold_spec.clients = 8;
-    cold_spec.requests = 1;
-    let serve_cold = loadgen::run(&cold_spec);
-    let cold_simulated = serve_engine.stats().simulated().max(1);
-    let serve_dedup = (cold_spec.clients * sweep_points) as f64 / cold_simulated as f64;
-    let mut warm_spec = LoadSpec::new(serve_addr, serve_target);
-    warm_spec.clients = 4;
-    warm_spec.requests = 64;
-    let warm_cached = loadgen::run(&warm_spec);
-    handle.stop();
-    // Same warm engine, response cache disabled: every request pays a
-    // render; close mode additionally pays a connection per request.
-    let nocache = ServeConfig {
-        respcache_bytes: 0,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind_with("127.0.0.1:0", serve_engine, Budget::Quick, nocache)
-        .map_err(|e| format!("bench serve: {e}"))?;
-    warm_spec.addr = server.local_addr().to_string();
-    let handle = server.spawn();
-    let warm_nocache = loadgen::run(&warm_spec);
-    warm_spec.keep_alive = false;
-    let warm_close = loadgen::run(&warm_spec);
-    handle.stop();
-    let serve_speedup = if warm_close.throughput_rps > 0.0 {
-        warm_cached.throughput_rps / warm_close.throughput_rps
-    } else {
-        0.0
-    };
-    let load_side = |r: &fuleak_experiments::loadgen::LoadReport| {
-        format!(
-            "{{\"throughput_rps\": {:.0}, \"p50_micros\": {}, \"p99_micros\": {}, \"errors\": {}}}",
-            r.throughput_rps, r.p50_micros, r.p99_micros, r.errors
-        )
-    };
-
-    let warm_speedup = best(&store_cold) / best(&store_warm);
-    let grid_side = |secs: &[f64]| {
-        format!(
-            "{{\"best_seconds\": {:.6}, \"points_per_sec\": {:.0}}}",
-            best(secs),
-            grid_points as f64 / best(secs)
-        )
-    };
-    let grid_speedup = best(&grid_scalar) / best(&grid_batched);
-    let explore_pps = explore_points as f64 / best(&explore_runs);
-
-    let json = format!(
-        "{{\n  \"name\": \"repro-bench\",\n  \"budget\": \"quick\",\n  \"jobs\": {jobs},\n  \"runs\": {runs},\n  \"all_quick\": {},\n  \"sweep_fixed_geometry\": {{\"points\": {sweep_points}, {}}},\n  \"store_sweep\": {{\"points\": {sweep_points}, \"cold\": {}, \"warm\": {}, \"warm_speedup\": {warm_speedup:.1}}},\n  \"policy_eval\": {{\"points\": {policy_points}, \"spectrum\": {}, \"interval_replay\": {}, \"speedup_per_point\": {speedup:.1}}},\n  \"explore_grid\": {{\"points\": {grid_points}, \"forms_per_grid\": {}, \"scalar\": {}, \"grid\": {}, \"speedup_per_point\": {grid_speedup:.1}}},\n  \"explore_default\": {{\"points\": {explore_points}, {}, \"points_per_sec\": {explore_pps:.0}}},\n  \"serve\": {{\"target\": \"{serve_target}\", \"cold_concurrent\": {{\"clients\": {}, \"grid_points\": {sweep_points}, \"requested_points\": {}, \"simulated\": {cold_simulated}, \"dedup_factor\": {serve_dedup:.1}, \"wall_seconds\": {:.3}}}, \"warm_keepalive_cached\": {}, \"warm_keepalive_nocache\": {}, \"warm_close_nocache\": {}, \"cached_keepalive_vs_close_nocache\": {serve_speedup:.1}}}\n}}\n",
-        json_seconds(&all_quick),
-        json_seconds(&sweep).trim_start_matches('{').trim_end_matches('}'),
-        json_seconds(&store_cold),
-        json_seconds(&store_warm),
-        policy_side(&policy_spectrum),
-        policy_side(&policy_replay),
-        grid_combos.len(),
-        grid_side(&grid_scalar),
-        grid_side(&grid_batched),
-        json_seconds(&explore_runs)
-            .trim_start_matches('{')
-            .trim_end_matches('}'),
-        cold_spec.clients,
-        cold_spec.clients * sweep_points,
-        serve_cold.elapsed_seconds,
-        load_side(&warm_cached),
-        load_side(&warm_nocache),
-        load_side(&warm_close),
-    );
-    print!("{json}");
-    if let Some(dir) = &opts.out {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create --out directory `{}`: {e}", dir.display()))?;
-        let path = dir.join("bench.json");
-        std::fs::write(&path, &json)
-            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-    }
-    Ok(())
-}
-
 /// Runs `repro store stats|clear|gc` against the attached store.
 fn run_store(args: &[&str], opts: &Options) -> Result<(), String> {
     let store = opts
@@ -972,79 +497,6 @@ fn run_serve(args: &[&str], opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `repro loadgen`: a closed-loop measurement client against a
-/// running `repro serve` daemon. The report (throughput and latency
-/// percentiles) is wallclock telemetry, printed to stdout as JSON
-/// like `repro bench`.
-fn run_loadgen(args: &[&str], opts: &Options) -> Result<(), String> {
-    let mut addr: Option<String> = None;
-    let mut path = "/sweep?bench=gzip&int-fus=1:2&format=json".to_string();
-    let mut clients = 4usize;
-    let mut requests = 32usize;
-    let mut keep_alive = true;
-    let mut it = args.iter();
-    while let Some(&flag) = it.next() {
-        let (flag, value) = match flag.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (flag, None),
-        };
-        let mut take = |name: &str| match value.clone() {
-            Some(v) => Ok(v),
-            None => it
-                .next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value")),
-        };
-        let parse_count = |name: &str, v: String| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("invalid {name} value `{v}`"))
-        };
-        match flag {
-            "--addr" => addr = Some(take("--addr")?),
-            "--path" => path = take("--path")?,
-            "--clients" => clients = parse_count("--clients", take("--clients")?)?,
-            "--requests" => requests = parse_count("--requests", take("--requests")?)?,
-            "--close" => keep_alive = false,
-            other => return Err(format!("unknown loadgen flag `{other}`")),
-        }
-    }
-    let addr = addr.ok_or("repro loadgen needs --addr HOST:PORT")?;
-    if opts.format != Format::Text {
-        return Err("repro loadgen emits JSON only; --format is not supported".to_string());
-    }
-    let mut spec = LoadSpec::new(addr, path);
-    spec.clients = clients;
-    spec.requests = requests;
-    spec.keep_alive = keep_alive;
-    eprintln!(
-        "[repro] loadgen: {} clients x {} requests, {} connections, GET {}",
-        spec.clients,
-        spec.requests,
-        if spec.keep_alive {
-            "keep-alive"
-        } else {
-            "per-request"
-        },
-        spec.path
-    );
-    let report = loadgen::run(&spec);
-    let json = format!("{}\n", report.to_json());
-    print!("{json}");
-    if let Some(dir) = &opts.out {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create --out directory `{}`: {e}", dir.display()))?;
-        let path = dir.join("loadgen.json");
-        std::fs::write(&path, &json)
-            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-    }
-    if report.requests == 0 {
-        return Err("loadgen completed no requests (is the server running?)".to_string());
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = parse_options(&args).and_then(|(opts, rest)| {
@@ -1058,14 +510,10 @@ fn main() -> ExitCode {
             run_sweep(&rest[1..], &opts)
         } else if rest[0] == "explore" {
             run_explore(&rest[1..], &opts)
-        } else if rest[0] == "bench" {
-            run_bench(&rest[1..], &opts)
         } else if rest[0] == "store" {
             run_store(&rest[1..], &opts)
         } else if rest[0] == "serve" {
             run_serve(&rest[1..], &opts)
-        } else if rest[0] == "loadgen" {
-            run_loadgen(&rest[1..], &opts)
         } else if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
             Err(format!("unknown flag `{flag}`"))
         } else {

@@ -8,11 +8,31 @@
 //! `8:64:8`); evaluation axes take fractions in `[0, 1]` — with
 //! `lo:hi:step` range grammar on the explorer's axes — and policy
 //! names from the [`PolicyKind`](crate::policy::PolicyKind) registry.
+//! Every list is counted before it is expanded and refused past
+//! [`MAX_AXIS_VALUES`], so no query can ask for an unbounded `Vec`.
 
-use crate::explore::{fraction_steps, ExploreSpec};
+use crate::explore::{fraction_steps, fraction_steps_last_index, ExploreSpec};
 use crate::policy::PolicyKind;
 use crate::scenario::SweepSpec;
 use fuleak_workloads::Benchmark;
+
+/// The most values one axis list may hold. About 100× the widest axis
+/// of any built-in default, golden transcript or benchmark workload
+/// (the 51-value `0:1:0.02` fraction axis).
+pub const MAX_AXIS_VALUES: usize = 10_000;
+
+/// Adds `len` values to a list's running `total`, refusing any list
+/// that would pass [`MAX_AXIS_VALUES`]. Called before each part is
+/// expanded.
+fn count_values(flag: &str, total: &mut u64, len: u64) -> Result<(), String> {
+    *total = total.saturating_add(len);
+    if *total > MAX_AXIS_VALUES as u64 {
+        return Err(format!(
+            "{flag} lists more than {MAX_AXIS_VALUES} values (the per-axis cap)"
+        ));
+    }
+    Ok(())
+}
 
 /// Parses a sweep value list: comma-separated values and inclusive
 /// `lo:hi` ranges with an optional stride, e.g. `1:4`, `2,4,8`,
@@ -20,6 +40,7 @@ use fuleak_workloads::Benchmark;
 pub fn parse_values(flag: &str, s: &str) -> Result<Vec<u64>, String> {
     let bad = |part: &str| format!("invalid {flag} value `{part}` (expected N or LO:HI[:STEP])");
     let mut out = Vec::new();
+    let mut total = 0;
     for part in s.split(',') {
         if let Some((lo, rest)) = part.split_once(':') {
             let (hi, step) = match rest.split_once(':') {
@@ -37,8 +58,10 @@ pub fn parse_values(flag: &str, s: &str) -> Result<Vec<u64>, String> {
             if lo > hi {
                 return Err(format!("empty {flag} range `{part}`"));
             }
+            count_values(flag, &mut total, ((hi - lo) / step).saturating_add(1))?;
             out.extend((lo..=hi).step_by(step as usize));
         } else {
+            count_values(flag, &mut total, 1)?;
             out.push(part.parse().map_err(|_| bad(part))?);
         }
     }
@@ -52,7 +75,9 @@ pub fn parse_values(flag: &str, s: &str) -> Result<Vec<u64>, String> {
 /// energy-model evaluation axes).
 pub fn parse_fractions(flag: &str, s: &str) -> Result<Vec<f64>, String> {
     let mut out = Vec::new();
+    let mut total = 0;
     for part in s.split(',') {
+        count_values(flag, &mut total, 1)?;
         let v: f64 = part
             .parse()
             .map_err(|_| format!("invalid {flag} value `{part}` (expected a number)"))?;
@@ -77,6 +102,7 @@ pub fn parse_fraction_steps(flag: &str, s: &str) -> Result<Vec<f64>, String> {
     let bad =
         |part: &str| format!("invalid {flag} value `{part}` (expected a fraction or LO:HI:STEP)");
     let mut out = Vec::new();
+    let mut total = 0;
     for part in s.split(',') {
         if let Some((lo, rest)) = part.split_once(':') {
             let (hi, step) = rest.split_once(':').ok_or_else(|| {
@@ -96,8 +122,12 @@ pub fn parse_fraction_steps(flag: &str, s: &str) -> Result<Vec<f64>, String> {
             if !step.is_finite() || step <= 0.0 {
                 return Err(format!("{flag} range `{part}` needs a positive step"));
             }
+            // Saturating: a step so small the count overflows is refused.
+            let len = fraction_steps_last_index(lo, hi, step) + 1.0;
+            count_values(flag, &mut total, len as u64)?;
             out.extend(fraction_steps(lo, hi, step));
         } else {
+            count_values(flag, &mut total, 1)?;
             out.extend(parse_fractions(flag, part)?);
         }
     }
@@ -288,6 +318,38 @@ mod tests {
             let err = apply_explore_flag(ExploreSpec::new(Budget::Quick), flag, value).unwrap_err();
             assert!(err.contains(needle), "{flag}: {err}");
         }
+    }
+
+    #[test]
+    fn axis_lists_are_counted_before_they_are_expanded() {
+        let cap = format!("more than {MAX_AXIS_VALUES} values");
+        for err in [
+            parse_values("--rob", "0:18446744073709551615").unwrap_err(),
+            parse_values("--rob", "1:100000").unwrap_err(),
+            parse_values("--x", "1:6000,1:6000").unwrap_err(),
+            parse_fraction_steps("--leak", "0:1:1e-300").unwrap_err(),
+            parse_fraction_steps("--leak", "0:1:0.0000001").unwrap_err(),
+            parse_fraction_steps("--leak", "0:1:0.0002,0:1:0.0002").unwrap_err(),
+            parse_fractions("--leak", &vec!["0.5"; MAX_AXIS_VALUES + 1].join(",")).unwrap_err(),
+        ] {
+            assert!(err.contains(&cap), "{err}");
+        }
+        // Lists at the cap pass, whether one range or several parts.
+        let n = MAX_AXIS_VALUES as u64;
+        assert_eq!(
+            parse_values("--x", &format!("1:{n}")).unwrap().len(),
+            MAX_AXIS_VALUES
+        );
+        assert_eq!(
+            parse_values("--x", &format!("1:{},{n}", n - 1))
+                .unwrap()
+                .len(),
+            MAX_AXIS_VALUES
+        );
+        assert_eq!(
+            parse_fraction_steps("--p", "0:1:0.001").unwrap().len(),
+            1001
+        );
     }
 
     #[test]

@@ -92,8 +92,16 @@ pub fn fraction_steps(lo: f64, hi: f64, step: f64) -> Vec<f64> {
         step.is_finite() && step > 0.0,
         "fraction range step must be positive, got {step}"
     );
-    let count = ((hi - lo) / step + 1e-9).floor() as usize;
+    let count = fraction_steps_last_index(lo, hi, step) as usize;
     (0..=count).map(|i| lo + i as f64 * step).collect()
+}
+
+/// The last index `i` of [`fraction_steps`]`(lo, hi, step)`, which
+/// yields this many values plus one. It is an `f64` so a caller can
+/// bound the length before anything is allocated (a tiny step makes it
+/// larger than any `usize`).
+pub(crate) fn fraction_steps_last_index(lo: f64, hi: f64, step: f64) -> f64 {
+    ((hi - lo) / step + 1e-9).floor()
 }
 
 /// The explorer's design space: benchmarks × policy families ×

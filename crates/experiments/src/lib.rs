@@ -53,7 +53,6 @@ pub mod empirical;
 pub mod experiment;
 pub mod explore;
 pub mod harness;
-pub mod loadgen;
 pub mod policy;
 pub mod render;
 pub mod respcache;

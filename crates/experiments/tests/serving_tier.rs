@@ -147,6 +147,34 @@ fn keep_alive_connection_serves_mixed_requests_byte_identical_to_cli() {
 }
 
 #[test]
+fn runaway_axis_list_is_a_400_and_the_worker_keeps_serving() {
+    // One worker: if the runaway query took it down, nothing would
+    // answer the follow-up request.
+    let engine = Arc::new(Engine::new(1));
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", engine, BUDGET, config).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    // `0:1:1e-300` would expand to ~1e300 values; the grammar counts
+    // first and refuses it before anything is allocated.
+    let (head, body) = get(addr, "/explore?bench=gzip&leak=0:1:1e-300&format=json");
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    let message = String::from_utf8_lossy(&body);
+    assert!(message.contains("per-axis cap"), "{message}");
+
+    let (head, _) = get(
+        addr,
+        "/explore?bench=gzip&policy=maxsleep&slices=1&leak=0:1:0.5&transition=0.01&format=json",
+    );
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    handle.stop();
+}
+
+#[test]
 fn full_queue_answers_503_with_retry_after_then_recovers() {
     let engine = Arc::new(Engine::new(0));
     let config = ServeConfig {

@@ -1,4 +1,4 @@
-// Fixture: wall-clock reads outside the bench/repro timing surfaces.
+// Fixture: wall-clock reads outside the repro driver and serve request logs.
 // Replayed under the pretend path `crates/core/src/energy.rs`.
 
 use std::time::SystemTime; // BAD: wallclock

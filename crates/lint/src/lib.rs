@@ -17,8 +17,8 @@
 //!   `EnergyModel::fingerprint` covers every model scalar;
 //! * `hot-alloc` — `timing.rs`/`policy_eval.rs` steady state never
 //!   allocates outside `new*`/`reset*`/`renew*`/`grow*`;
-//! * `wallclock` — no `Instant::now`/`SystemTime` outside
-//!   bench/repro timing code;
+//! * `wallclock` — no `Instant::now`/`SystemTime` outside the
+//!   `repro` driver and the serve daemon's request log;
 //! * `hash-order` — no default-hasher `HashMap`/`HashSet` in
 //!   result/render/fingerprint paths;
 //! * `stdout` — `println!`/`print!` only in the whitelisted stdout

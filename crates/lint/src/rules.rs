@@ -12,8 +12,8 @@
 //! |---|---|
 //! | `hot-alloc` | `timing.rs`/`policy_eval.rs` steady state never allocates: `Vec::new`/`vec!`/`Box::new`/`format!`/`.to_string()`/`.collect()`/`.clone()` only inside `new*`/`reset*`/`renew*`/`grow*` or behind an allow |
 //! | `stdout` | `println!`/`print!` only in `render.rs`/`bin/repro.rs` — the golden-transcript surface is closed by construction |
-//! | `wallclock` | `Instant::now`/`SystemTime` only in `bin/repro.rs`/`crates/bench`/`serve.rs` (request-log timing)/`loadgen.rs` (latency measurement) — results never depend on wall time |
-//! | `hash-order` | no default-hasher `HashMap`/`HashSet` in result/render/fingerprint/codec/store/respcache/loadgen paths — iteration order there must be deterministic |
+//! | `wallclock` | `Instant::now`/`SystemTime` only in `bin/repro.rs`/`serve.rs` (request-log timing) — results never depend on wall time |
+//! | `hash-order` | no default-hasher `HashMap`/`HashSet` in result/render/fingerprint/codec/store/respcache paths — iteration order there must be deterministic |
 //! | `lock-unwrap` | `.lock().unwrap()` is forbidden in favor of `lock_unpoisoned` — a panicked worker must not cascade |
 
 use crate::lexer::{lex, Tok, TokKind};
@@ -46,17 +46,13 @@ fn applies_stdout(rel: &str) -> bool {
         || rel.contains("crates/lint/src"))
 }
 
-/// Wall-clock reads are confined to the perf harness surfaces
-/// (`repro bench` timing loops, the criterion bench crate, the
-/// `loadgen.rs` latency measurement client) and the serve daemon's
-/// stderr request logs. The result store is *not* exempt: its atime
-/// touches carry per-line allows, so any new clock read there must
-/// justify itself.
+/// Wall-clock reads are confined to the `repro` driver (the
+/// explorer's grid-time note) and the serve daemon's stderr request
+/// logs. The result store is *not* exempt: its atime touches carry
+/// per-line allows, so any new clock read there must justify itself.
 fn applies_wallclock(rel: &str) -> bool {
     !(rel.ends_with("crates/experiments/src/bin/repro.rs")
-        || rel.ends_with("crates/experiments/src/serve.rs")
-        || rel.ends_with("crates/experiments/src/loadgen.rs")
-        || rel.contains("crates/bench/"))
+        || rel.ends_with("crates/experiments/src/serve.rs"))
 }
 
 /// Output- and fingerprint-path files where default-hasher
@@ -72,7 +68,6 @@ fn applies_hash_order(rel: &str) -> bool {
         || rel.ends_with("crates/experiments/src/store.rs")
         || rel.ends_with("crates/experiments/src/explore.rs")
         || rel.ends_with("crates/experiments/src/respcache.rs")
-        || rel.ends_with("crates/experiments/src/loadgen.rs")
 }
 
 /// Function names whose bodies may allocate under `hot-alloc`:
@@ -178,7 +173,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                 push(
                     line,
                     "wallclock",
-                    "`Instant::now` outside bench/repro timing code: results must not \
+                    "`Instant::now` outside the repro driver and serve log: results must not \
                      depend on wall time"
                         .to_string(),
                 );
@@ -187,7 +182,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                 push(
                     line,
                     "wallclock",
-                    "`SystemTime` outside bench/repro timing code: results must not \
+                    "`SystemTime` outside the repro driver and serve log: results must not \
                      depend on wall time"
                         .to_string(),
                 );
@@ -365,12 +360,13 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_exempts_serve_and_loadgen_but_not_store() {
+    fn wallclock_exempts_serve_but_not_store_or_other_experiments() {
         let src = "fn f() { let t = std::time::Instant::now(); drop(t); }\n";
         assert!(lint_at("crates/experiments/src/serve.rs", src).is_empty());
-        assert!(
-            lint_at("crates/experiments/src/loadgen.rs", src).is_empty(),
-            "loadgen measures request latency by design"
+        assert_eq!(
+            lint_at("crates/experiments/src/explore.rs", src),
+            [(1, "wallclock")],
+            "only the driver and the daemon's request log read the clock"
         );
         assert_eq!(
             lint_at("crates/experiments/src/store.rs", src),
@@ -404,10 +400,6 @@ mod tests {
             lint_at("crates/experiments/src/respcache.rs", src),
             [(1, "hash-order"), (1, "hash-order")],
             "response-cache keys and entries are an output path"
-        );
-        assert_eq!(
-            lint_at("crates/experiments/src/loadgen.rs", src),
-            [(1, "hash-order"), (1, "hash-order")]
         );
         assert!(lint_at("crates/experiments/src/serve.rs", src).is_empty());
     }

@@ -140,12 +140,18 @@ fn wallclock_fixtures() {
         "good_wallclock.rs",
         "crates/core/src/energy.rs",
     );
-    // The bench crate, the repro driver, and the serve daemon's
-    // request logging may read the wall clock.
+    // Only the repro driver and the serve daemon's request logging
+    // may read the wall clock; any other experiments module may not.
     let bad = fixture("bad_wallclock.rs");
-    assert!(rules::lint_source("crates/bench/src/lib.rs", &bad).is_empty());
     assert!(rules::lint_source("crates/experiments/src/bin/repro.rs", &bad).is_empty());
     assert!(rules::lint_source("crates/experiments/src/serve.rs", &bad).is_empty());
+    assert_eq!(
+        found(rules::lint_source(
+            "crates/experiments/src/explore.rs",
+            &bad
+        )),
+        expected(&bad)
+    );
     // The result store is deliberately *not* exempt: its atime reads
     // go through per-line allows instead of a scope hole.
     assert_eq!(
@@ -189,14 +195,14 @@ fn serving_tier_scope_fixtures() {
         "crates/experiments/src/respcache.rs",
     );
     let bad = fixture("bad_respcache_clock_hash.rs");
-    // The load generator measures latency by design, so only the
-    // hash-order half applies there.
-    let loadgen = found(rules::lint_source(
-        "crates/experiments/src/loadgen.rs",
+    // Outside the hash-order scope only the wallclock half applies,
+    // and it applies to every non-exempt experiments module.
+    let scenario = found(rules::lint_source(
+        "crates/experiments/src/scenario.rs",
         &bad,
     ));
-    assert!(!loadgen.is_empty());
-    assert!(loadgen.iter().all(|(_, rule)| rule == "hash-order"));
+    assert!(!scenario.is_empty());
+    assert!(scenario.iter().all(|(_, rule)| rule == "wallclock"));
     // The serve daemon keeps its request-log timing exemption and
     // stays outside the hash-order scope.
     assert!(rules::lint_source("crates/experiments/src/serve.rs", &bad).is_empty());

@@ -5,6 +5,7 @@
 //! single-threaded and seeded, and the engine only changes *where*
 //! points run — never what they compute.
 
+use fuleak_experiments::empirical::fig9_jobs;
 use fuleak_experiments::harness::{run_benchmark_on, run_suite_on, Budget};
 use fuleak_experiments::scenario::{Engine, Scenario, SweepSpec};
 use fuleak_uarch::MachineConfig;
@@ -47,6 +48,24 @@ fn suite_points_land_in_the_shared_cache() {
     // ...and a direct sweep over the same points adds nothing.
     let spec = SweepSpec::new(BUDGET).l2_latencies([12]);
     assert_eq!(engine.run_sweep(&spec), 0);
+}
+
+#[test]
+fn fig9_technology_sweep_is_identical_across_worker_counts() {
+    // The Figure 9 technology points fan out on `parallel_map`; the
+    // worker count must not change a bit of any row.
+    let suite = run_suite_on(&Engine::new(2), 12, BUDGET);
+    let sequential = fig9_jobs(&suite, 1);
+    let parallel = fig9_jobs(&suite, 4);
+    assert_eq!(sequential.len(), parallel.len());
+    for (a, b) in sequential.iter().zip(&parallel) {
+        assert_eq!(a.p.to_bits(), b.p.to_bits());
+        assert_eq!(a.relative.map(f64::to_bits), b.relative.map(f64::to_bits));
+        assert_eq!(
+            a.leakage_fraction.map(f64::to_bits),
+            b.leakage_fraction.map(f64::to_bits)
+        );
+    }
 }
 
 #[test]

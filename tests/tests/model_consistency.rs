@@ -220,3 +220,26 @@ proptest! {
         );
     }
 }
+
+/// The paper's slice-count choice: on bimodal idle traffic (short
+/// bursts mixed with long lulls), breakeven-many GradualSleep slices
+/// beat both extremes — one slice (MaxSleep) and 1024 slices (close to
+/// AlwaysActive on every interval).
+#[test]
+fn breakeven_many_slices_beat_both_extremes_on_bimodal_traffic() {
+    let model = EnergyModel::new(TechnologyParams::near_term(), 0.5).unwrap();
+    let w = fuleak_workloads::synthetic::bimodal_intervals(9, 20_000, 3, 200, 0.2, 4);
+    let energy = |slices: u32| {
+        account_intervals(
+            &model,
+            BoundaryPolicy::GradualSleep { slices },
+            w.active_cycles,
+            &w.idle_intervals,
+        )
+        .energy
+        .total()
+    };
+    let paper_choice = energy(breakeven_interval(&model).round() as u32);
+    assert!(paper_choice < energy(1), "{paper_choice} vs one slice");
+    assert!(paper_choice < energy(1024), "{paper_choice} vs 1024 slices");
+}
