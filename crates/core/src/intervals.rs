@@ -157,6 +157,21 @@ impl IdleCursor {
         }
     }
 
+    /// Records that the `len` cycles `start..start + len` were busy —
+    /// exactly `len` calls of [`IdleCursor::record_busy`] in cycle
+    /// order, in O(1). A timing model that knows a unit's busy runs
+    /// retires them whole.
+    pub fn record_busy_run(&mut self, start: u64, len: u64) {
+        self.active_cycles += len;
+        let end = start + len;
+        if len > 0 && end > self.cursor {
+            if start > self.cursor {
+                self.spectrum.record(start - self.cursor);
+            }
+            self.cursor = end;
+        }
+    }
+
     /// Closes the stream at `total_cycles`, recording the trailing
     /// idle interval (if any). Busy cycles at or beyond `total_cycles`
     /// already swallowed the tail, in which case this is a no-op.

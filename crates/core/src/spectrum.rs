@@ -81,6 +81,16 @@ impl IntervalSpectrum {
             return;
         }
         assert!(length > 0, "idle intervals have positive length");
+        // Lengths are distinct, positive and ascending, so if entry
+        // `length - 1` holds `length`, the entries up to it are exactly
+        // 1..=length: the dense short-interval prefix a timing run
+        // hits most often needs no search.
+        if let Some(entry) = self.entries.get_mut(length as usize - 1) {
+            if entry.0 == length {
+                entry.1 += count;
+                return;
+            }
+        }
         match self.entries.binary_search_by_key(&length, |&(l, _)| l) {
             Ok(i) => self.entries[i].1 += count,
             Err(i) => self.entries.insert(i, (length, count)),

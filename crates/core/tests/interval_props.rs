@@ -132,3 +132,31 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One busy run equals its `len` single-cycle records, whatever the
+    /// run's position against the cursor: after a gap, adjacent,
+    /// overlapping already-recorded cycles, wholly behind the cursor,
+    /// or empty.
+    #[test]
+    fn busy_run_equals_repeated_busy_cycles(
+        starts in proptest::collection::vec(0u64..400, 0..60),
+        lens in proptest::collection::vec(prop_oneof![0u64..3, 0u64..70], 60..61),
+        total in 0u64..500,
+    ) {
+        let mut runs = IdleCursor::new();
+        let mut cycles = IdleCursor::new();
+        for (&start, &len) in starts.iter().zip(&lens) {
+            runs.record_busy_run(start, len);
+            for c in start..start + len {
+                cycles.record_busy(c);
+            }
+            prop_assert_eq!(&runs, &cycles);
+        }
+        runs.finish(total);
+        cycles.finish(total);
+        prop_assert_eq!(runs, cycles);
+    }
+}

@@ -319,3 +319,30 @@ fn repeated_add_handles_a_tie_whose_first_step_rounds_up() {
         naive += x;
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `record_n`'s dense-prefix shortcut agrees with a plain
+    /// binary-search insert on streams heavy on short lengths, where the
+    /// prefix `1..=k` fills up and the shortcut fires, mixed with gaps
+    /// and long lengths where it must fall through.
+    #[test]
+    fn dense_prefix_record_n_matches_binary_search(
+        lengths in proptest::collection::vec(prop_oneof![1u64..6, 1u64..40, 1_000u64..2_000], 0..200),
+        counts in proptest::collection::vec(0u64..4, 200..201),
+    ) {
+        let mut spectrum = IntervalSpectrum::new();
+        let mut reference: Vec<(u64, u64)> = Vec::new();
+        for (&len, &count) in lengths.iter().zip(&counts) {
+            spectrum.record_n(len, count);
+            if count > 0 {
+                match reference.binary_search_by_key(&len, |&(l, _)| l) {
+                    Ok(i) => reference[i].1 += count,
+                    Err(i) => reference.insert(i, (len, count)),
+                }
+            }
+            prop_assert_eq!(spectrum.entries(), &reference[..]);
+        }
+    }
+}

@@ -71,7 +71,9 @@
 //! stderr. Beyond the paper's tables, `repro policy-ext` runs the
 //! extension-policy study (not part of `all`).
 
-use fuleak_experiments::cli::{apply_explore_flag, apply_sweep_flag};
+use fuleak_experiments::cli::{
+    apply_explore_flag, apply_sweep_flag, check_explore_cost, check_sweep_cost,
+};
 use fuleak_experiments::experiment::{self, sweep_table, Context};
 use fuleak_experiments::explore::{explore, ExploreSpec};
 use fuleak_experiments::harness::Budget;
@@ -288,6 +290,7 @@ fn run_sweep(args: &[&str], opts: &Options) -> Result<(), String> {
         };
         spec = apply_sweep_flag(spec, flag, &value)?;
     }
+    check_sweep_cost(&spec)?;
     let points = spec
         .try_expand()
         .map_err(|e| format!("invalid sweep: {e}"))?
@@ -337,6 +340,7 @@ fn run_explore(args: &[&str], opts: &Options) -> Result<(), String> {
         };
         spec = apply_explore_flag(spec, flag, &value)?;
     }
+    check_explore_cost(&spec)?;
     if opts.format == Format::Text {
         eprintln!(
             "[repro] exploring {} technology items x {} policy forms = {} grid points ({} workers)...",
@@ -550,5 +554,23 @@ mod tests {
         assert!(err.contains("unknown sweep flag `--no-batch`"), "{err}");
         assert!(run_sweep(&["--no-batch"], &opts).is_err());
         assert_eq!(opts.engine.stats().misses, 0, "nothing was simulated");
+    }
+
+    #[test]
+    fn over_cap_specs_exit_before_expanding() {
+        let opts = options();
+        // 9 benchmarks × 4 FU counts × 10 000 ROB sizes × 10 000 widths.
+        let err = run_sweep(&["--rob", "1:10000", "--width", "1:10000"], &opts).unwrap_err();
+        assert!(err.contains("3600000000 points"), "{err}");
+        assert!(err.contains("more than 50000"), "{err}");
+        // 9 × 5 001 × 5 001 items × 68 forms.
+        let err = run_explore(
+            &["--leak", "0:1:0.0002", "--transition", "0:1:0.0002"],
+            &opts,
+        )
+        .unwrap_err();
+        assert!(err.contains("more than 16000000"), "{err}");
+        let stats = opts.engine.stats();
+        assert_eq!((stats.misses, stats.grid_points), (0, 0), "nothing ran");
     }
 }

@@ -9,7 +9,9 @@
 //! `lo:hi:step` range grammar on the explorer's axes — and policy
 //! names from the [`PolicyKind`](crate::policy::PolicyKind) registry.
 //! Every list is counted before it is expanded and refused past
-//! [`MAX_AXIS_VALUES`], so no query can ask for an unbounded `Vec`.
+//! [`MAX_AXIS_VALUES`], so no query can ask for an unbounded `Vec`;
+//! a whole spec is counted from its axis lengths and refused past
+//! [`MAX_SWEEP_POINTS`] or [`MAX_EXPLORE_POINTS`] before it expands.
 
 use crate::explore::{fraction_steps, fraction_steps_last_index, ExploreSpec};
 use crate::policy::PolicyKind;
@@ -20,6 +22,42 @@ use fuleak_workloads::Benchmark;
 /// of any built-in default, golden transcript or benchmark workload
 /// (the 51-value `0:1:0.02` fraction axis).
 pub const MAX_AXIS_VALUES: usize = 10_000;
+
+/// The most rows one sweep may produce, by [`SweepSpec::points`]:
+/// about 10× the largest count any CI step or benchmark workload
+/// reaches (a `serve_mixed` query, at most 3 × 4 × 2 × 4 × 3 × 5 × 3
+/// = 4 320).
+pub const MAX_SWEEP_POINTS: u64 = 50_000;
+
+/// The most grid points one exploration may price, by
+/// [`ExploreSpec::points`]: about 10× the default `repro explore` grid
+/// (1 591 812 points), the largest any CI step or benchmark workload
+/// runs.
+pub const MAX_EXPLORE_POINTS: u64 = 16_000_000;
+
+/// Refuses a sweep whose point count passes [`MAX_SWEEP_POINTS`],
+/// before any scenario is expanded.
+pub fn check_sweep_cost(spec: &SweepSpec) -> Result<(), String> {
+    let points = spec.points();
+    if points > MAX_SWEEP_POINTS {
+        return Err(format!(
+            "the sweep asks for {points} points, more than {MAX_SWEEP_POINTS} (the per-sweep cap)"
+        ));
+    }
+    Ok(())
+}
+
+/// Refuses an exploration whose grid passes [`MAX_EXPLORE_POINTS`],
+/// before any grid item exists.
+pub fn check_explore_cost(spec: &ExploreSpec) -> Result<(), String> {
+    let points = spec.points();
+    if points > MAX_EXPLORE_POINTS {
+        return Err(format!(
+            "the exploration asks for {points} grid points, more than {MAX_EXPLORE_POINTS} (the per-exploration cap)"
+        ));
+    }
+    Ok(())
+}
 
 /// Adds `len` values to a list's running `total`, refusing any list
 /// that would pass [`MAX_AXIS_VALUES`]. Called before each part is

@@ -290,9 +290,10 @@ impl ExploreSpec {
         self.benches.len() * self.leaks.len() * self.transitions.len()
     }
 
-    /// Total policy points the exploration prices.
+    /// Total policy points the exploration prices: items × forms,
+    /// counted from the axis lengths before any grid item exists.
     pub fn points(&self) -> u64 {
-        self.items() as u64 * self.form_combos().len() as u64
+        (self.items() as u64).saturating_mul(self.form_combos().len() as u64)
     }
 }
 

@@ -847,6 +847,30 @@ impl SweepSpec {
         out
     }
 
+    /// Result rows the sweep produces at most, counted from the axis
+    /// lengths before anything is expanded: benchmarks × every machine
+    /// axis × (with evaluation axes set) policies × slices × leakage ×
+    /// transition cost, unset evaluation axes at their default
+    /// lengths. Duplicates count, so expansion never exceeds it.
+    pub fn points(&self) -> u64 {
+        let machines = self.axes.iter().fold(self.benches.len() as u64, |n, a| {
+            n.saturating_mul(a.values.len() as u64)
+        });
+        if !self.has_eval_axes() {
+            return machines;
+        }
+        let (d_policies, d_slices, d_leaks, d_transitions) = default_eval_axes();
+        let len = |set: usize, default: usize| (if set == 0 { default } else { set }) as u64;
+        [
+            len(self.policies.len(), d_policies.len()),
+            len(self.slices.len(), d_slices.len()),
+            len(self.leaks.len(), d_leaks.len()),
+            len(self.transitions.len(), d_transitions.len()),
+        ]
+        .into_iter()
+        .fold(machines, u64::saturating_mul)
+    }
+
     /// Restricts the sweep to the given FU counts (alias of
     /// [`SweepSpec::axis_int_fus`], kept for the paper-grid callers).
     pub fn fu_counts(self, fus: impl IntoIterator<Item = usize>) -> Self {
@@ -1257,15 +1281,11 @@ impl Engine {
     }
 
     /// Simulates one point through the two-phase path — cached
-    /// annotation, then the calling worker's reusable timing kernel —
-    /// and writes the result behind to the store.
+    /// annotation, then the calling worker's reusable timing kernel.
+    /// Callers write results behind to the store, a batch at a time.
     fn simulate(&self, s: &Scenario) -> Arc<SimResult> {
         let ann = self.annotation(s.bench, s.budget, &s.machine);
-        let result = Arc::new(WORKER_KERNEL.with(|k| k.borrow_mut().run(&ann, s.machine.config())));
-        if let Some(st) = self.store() {
-            st.save_sim(s, &result);
-        }
-        result
+        Arc::new(WORKER_KERNEL.with(|k| k.borrow_mut().run(&ann, s.machine.config())))
     }
 
     /// The packed trace for `(bench, budget)`, capturing (and caching)
@@ -1333,7 +1353,9 @@ impl Engine {
     /// then each distinct front-end geometry annotates its trace once
     /// (one pass per `(bench, budget, frontend_fingerprint)`), and
     /// finally every point replays its annotation through a worker's
-    /// reusable timing kernel.
+    /// reusable timing kernel. With a store attached, the points are
+    /// read a shard at a time before any work starts, and the replayed
+    /// ones are written back after it, one batch file per shard.
     ///
     /// Each phase claims its keys in one batch. The point claims are
     /// this call's lookups; the annotation and trace claims are
@@ -1348,17 +1370,44 @@ impl Engine {
         let points = self.cache.claim_batch(scenarios, point, false);
         // A fully warm store leaves nothing to capture, annotate or
         // replay, and `prime` returns 0.
-        let todo = self.read_through(&self.cache, points.owned, point, |st, s| {
-            st.load_sim(s).map(Arc::new)
-        });
+        let todo: Vec<&Scenario> = match self.store() {
+            None => points.owned,
+            Some(st) => {
+                let stored = st.load_sims(&points.owned);
+                points
+                    .owned
+                    .into_iter()
+                    .zip(stored)
+                    .filter_map(|(s, r)| match r {
+                        Some(r) => {
+                            self.cache.insert(s.clone(), Arc::new(r));
+                            None
+                        }
+                        None => Some(s),
+                    })
+                    .collect()
+            }
+        };
         // A geometry read from disk needs no functional trace at all.
         let geometries = self
             .annotations
             .claim_batch(todo.iter().copied(), geometry, true);
-        let builds = self.read_through(&self.annotations, geometries.owned, geometry, |st, s| {
-            let (bench, budget, fingerprint) = geometry(s);
-            st.load_annotation(bench, budget, fingerprint).map(Arc::new)
-        });
+        let builds: Vec<&Scenario> = match self.store() {
+            None => geometries.owned,
+            Some(st) => parallel_map(self.jobs, geometries.owned, |s| {
+                let (bench, budget, fingerprint) = geometry(&s);
+                match st.load_annotation(bench, budget, fingerprint) {
+                    Some(ann) => {
+                        self.annotations.insert(geometry(&s), Arc::new(ann));
+                        None
+                    }
+                    None => Some(s),
+                }
+            })
+            .into_iter()
+            .flatten()
+            .collect(),
+        };
         let captures = self.traces.claim_batch(builds.iter().copied(), trace, true);
         parallel_map(self.jobs, captures.owned, |s| {
             self.traces
@@ -1369,9 +1418,12 @@ impl Engine {
             self.annotations.compute(&geometry(&s), build)
         });
         let simulated = todo.len();
-        parallel_map(self.jobs, todo, |s| {
-            self.cache.compute(s, || self.simulate(s))
+        let results = parallel_map(self.jobs, todo, |s| {
+            (s, self.cache.compute(s, || self.simulate(s)))
         });
+        if let Some(st) = self.store() {
+            st.save_sims(&results);
+        }
         // Points a concurrent caller claimed first: block until each
         // resolves, so a returned `prime` leaves every requested
         // point servable from cache. If an owner abandoned (panicked)
@@ -1382,36 +1434,6 @@ impl Engine {
             }
         }
         simulated
-    }
-
-    /// Reads `items` through the attached store, in parallel,
-    /// publishing each value found into `memo`; returns the items the
-    /// store could not answer (all of them if no store is attached).
-    fn read_through<K, V, T>(
-        &self,
-        memo: &Memo<K, V>,
-        items: Vec<T>,
-        key: impl Fn(&T) -> K + Sync,
-        load: impl Fn(&ResultStore, &T) -> Option<V> + Sync,
-    ) -> Vec<T>
-    where
-        K: Eq + Hash + Clone + Send,
-        V: Clone + Send,
-        T: Send,
-    {
-        let Some(st) = self.store() else {
-            return items;
-        };
-        parallel_map(self.jobs, items, |item| match load(&st, &item) {
-            Some(v) => {
-                memo.insert(key(&item), v);
-                None
-            }
-            None => Some(item),
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 
     /// Returns the result for one scenario, simulating it on the
@@ -1428,7 +1450,13 @@ impl Engine {
         self.cache.get_or_compute(
             &s,
             || self.store()?.load_sim(&s).map(Arc::new),
-            || self.simulate(&s),
+            || {
+                let result = self.simulate(&s);
+                if let Some(st) = self.store() {
+                    st.save_sims(&[(&s, Arc::clone(&result))]);
+                }
+                result
+            },
         )
     }
 }

@@ -750,6 +750,7 @@ fn sweep_response(query: &str, ctx: &RouteCtx<'_>) -> Result<Response, String> {
     for (key, value) in &params {
         spec = cli::apply_sweep_flag(spec, &format!("--{key}"), value)?;
     }
+    cli::check_sweep_cost(&spec)?;
     let key = respcache::sweep_key(&spec, format.body());
     if let Some(body) = ctx.respcache.and_then(|c| c.get(&key)) {
         return Ok(Response::ok_shared(format.content_type(), &body));
@@ -776,6 +777,7 @@ fn explore_response(query: &str, ctx: &RouteCtx<'_>) -> Result<Response, String>
     for (key, value) in &params {
         spec = cli::apply_explore_flag(spec, &format!("--{key}"), value)?;
     }
+    cli::check_explore_cost(&spec)?;
     let key = respcache::explore_key(&spec, format.body());
     if let Some(body) = ctx.respcache.and_then(|c| c.get(&key)) {
         return Ok(Response::ok_shared(format.content_type(), &body));
@@ -888,6 +890,34 @@ mod tests {
         let r = route("/health", &ctx);
         assert_eq!(r.status, 200);
         assert_eq!(r.body, b"ok\n");
+    }
+
+    #[test]
+    fn over_cap_specs_are_refused_without_expanding() {
+        let engine = Engine::sequential();
+        let counters = ServerCounters::default();
+        let ctx = test_ctx(&engine, &counters, None);
+        // Evaluation axes multiply too: 36 machines × 4 default
+        // policies × 2 000 leakage values.
+        let leaks = vec!["0.5"; 2_000].join(",");
+        for (target, cap) in [
+            (
+                "/sweep?rob=1:10000&width=1:10000".to_string(),
+                "more than 50000",
+            ),
+            (format!("/sweep?leak={leaks}"), "more than 50000"),
+            (
+                "/explore?leak=0:1:0.0002&transition=0:1:0.0002".to_string(),
+                "more than 16000000",
+            ),
+        ] {
+            let r = route(&target, &ctx);
+            assert_eq!(r.status, 400, "{target}");
+            let body = String::from_utf8(r.body).unwrap();
+            assert!(body.contains(cap), "{target}: {body}");
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.misses, stats.grid_points), (0, 0), "nothing ran");
     }
 
     #[test]

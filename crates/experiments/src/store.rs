@@ -14,20 +14,42 @@
 //!
 //! ```text
 //! <root>/
-//!   sim/<fnv1a(key) as 16 hex>      one SimResult per file
+//!   sim/<shard>/<batch>             one batch of SimResults per file
 //!   ann/<fnv1a(key) as 16 hex>      one AnnotatedTrace per file
 //!   policy/<fnv1a(key) as 16 hex>   one PolicyRun per file
+//!   resp/<fnv1a(key) as 16 hex>     one rendered response per file
 //!   tmp/                            atomic-write staging
 //! ```
 //!
+//! Simulation results are written a batch at a time: every point one
+//! [`ResultStore::save_sims`] call persists for the same `(bench,
+//! budget, front-end geometry)` shard goes into one immutable batch
+//! file, so a cold 32-point sweep creates one file, not 32. `<shard>`
+//! is the FNV-1a of the shard key as 16 hex digits. `<batch>` is
+//! `<lo>-<hi>-<hash>`: the batch's lowest and highest machine
+//! fingerprint and the FNV-1a of the shard key plus all its sorted
+//! fingerprints, each as 16 hex digits. The same batch always lands
+//! on the same name, overlapping batches from different engines sit
+//! side by side, each serving its own points, and a reader skips a
+//! batch whose span holds no point it wants without opening it. A
+//! read lists its shard once per call and opens candidate batches
+//! until every wanted point is found. Plain files directly under
+//! `sim/` are per-point entries from an older layout; nothing reads
+//! them, and `repro store gc` reclaims them like any cold entry. Hit,
+//! miss and write counters count records (points), not files.
+//!
 //! Every entry file is `magic "FLKS" | format version u32 | codec
 //! version u32 | key (length-prefixed) | payload (length-prefixed) |
-//! FNV-1a checksum u64 over everything before it`. Reads verify all
-//! five in order; *any* anomaly — short file, bad checksum, version
-//! skew, or a filename-hash collision caught by the stored key — is a
-//! miss, never a panic and never a wrong result. Writes go through a
-//! unique temp file plus `rename`, so readers only ever observe
-//! complete entries. Eviction is size-budgeted LRU by access time
+//! FNV-1a checksum u64 over everything before it`. A batch's key is
+//! its shard key, and its payload is a `u64` record count followed by
+//! `(machine fingerprint u64, SimResult encoding length-prefixed)`
+//! records, ascending by fingerprint. Reads verify all five in order;
+//! *any* anomaly — short file, bad checksum, version skew, or a
+//! filename-hash collision caught by the stored key — is a miss for
+//! every point the file would have served, never a panic and never a
+//! wrong result. Writes go through a unique temp file plus `rename`,
+//! so readers only ever observe complete entries. Eviction is
+//! size-budgeted LRU by access time over whole files
 //! ([`ResultStore::gc`]); read hits re-touch their entry's access
 //! time so hot entries survive, with mtime as the fallback ordering
 //! on filesystems that don't track atime.
@@ -40,15 +62,22 @@ use fuleak_core::policy_eval::PolicyForm;
 use fuleak_core::{Codec, CODEC_VERSION};
 use fuleak_uarch::SimResult;
 use fuleak_workloads::AnnotatedTrace;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Version of the store's *container* format (the entry header and
 /// directory layout). Orthogonal to [`CODEC_VERSION`], which names
 /// the payload encodings: either moving invalidates old entries.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 moved simulation results into per-shard batch files.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Temp-file sequence numbers, shared by every store in the process so
+/// two stores opened on one root never stage into the same file.
+static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 /// The entry-file magic.
 const MAGIC: &[u8; 4] = b"FLKS";
@@ -166,7 +195,6 @@ pub struct ResultStore {
     writes: AtomicUsize,
     evictions: AtomicUsize,
     corrupt: AtomicUsize,
-    tmp_seq: AtomicUsize,
 }
 
 impl ResultStore {
@@ -189,7 +217,6 @@ impl ResultStore {
             writes: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             corrupt: AtomicUsize::new(0),
-            tmp_seq: AtomicUsize::new(0),
         })
     }
 
@@ -219,7 +246,8 @@ impl ResultStore {
         self.misses[kind.idx()].load(Ordering::Relaxed)
     }
 
-    /// Entries written since construction.
+    /// Entries written since construction (each simulation result in
+    /// a batch counts once).
     pub fn writes(&self) -> usize {
         self.writes.load(Ordering::Relaxed)
     }
@@ -237,13 +265,84 @@ impl ResultStore {
 
     /// The cached [`SimResult`] for a scenario, if present and valid.
     pub fn load_sim(&self, s: &Scenario) -> Option<SimResult> {
-        self.load_value(StoreKind::Sim, &sim_key(s))
+        self.load_sims(&[s]).pop().flatten()
     }
 
-    /// Persists a scenario's [`SimResult`] (best-effort: I/O errors
-    /// degrade to a future miss).
-    pub fn save_sim(&self, s: &Scenario, result: &SimResult) {
-        self.save(StoreKind::Sim, &sim_key(s), &result.to_bytes());
+    /// The cached [`SimResult`] of each scenario, in input order. Each
+    /// shard the scenarios touch is scanned once, stopping as soon as
+    /// every point of the shard is found; every scenario counts one
+    /// hit or one miss.
+    pub fn load_sims(&self, points: &[&Scenario]) -> Vec<Option<SimResult>> {
+        let mut out: Vec<Option<SimResult>> = vec![None; points.len()];
+        for (key, members) in shards(points.iter().copied()) {
+            let mut wanted: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+            for i in members {
+                let fingerprint = points[i].machine.fingerprint();
+                wanted.entry(fingerprint).or_default().push(i);
+            }
+            for (path, span) in self.batch_files(&key) {
+                if wanted.is_empty() {
+                    break;
+                }
+                // The name bounds the batch's fingerprints: skip a file
+                // that cannot hold a wanted point without opening it.
+                if span.is_some_and(|(lo, hi)| wanted.range(lo..=hi).next().is_none()) {
+                    continue;
+                }
+                let Some(payload) = self.read_entry(&path, &key) else {
+                    continue;
+                };
+                let Some(records) = parse_batch(&payload) else {
+                    self.corrupt.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                };
+                let mut served = false;
+                for (fingerprint, bytes) in records {
+                    let Some(slots) = wanted.get(&fingerprint) else {
+                        continue;
+                    };
+                    // The batch checksum passed but the record does not
+                    // decode: a codec mismatch the version header failed
+                    // to catch.
+                    let Ok(result) = SimResult::from_bytes(bytes) else {
+                        self.corrupt.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    };
+                    for &i in slots {
+                        out[i] = Some(result.clone());
+                    }
+                    wanted.remove(&fingerprint);
+                    served = true;
+                }
+                if served {
+                    self.touch(&path);
+                }
+            }
+        }
+        let hits = out.iter().filter(|r| r.is_some()).count();
+        let idx = StoreKind::Sim.idx();
+        self.hits[idx].fetch_add(hits, Ordering::Relaxed);
+        self.misses[idx].fetch_add(out.len() - hits, Ordering::Relaxed);
+        out
+    }
+
+    /// Persists simulation results, one batch file per shard
+    /// (best-effort: I/O errors degrade to future misses). Each result
+    /// written counts one write.
+    pub fn save_sims(&self, results: &[(&Scenario, Arc<SimResult>)]) {
+        for (key, members) in shards(results.iter().map(|(s, _)| *s)) {
+            let records: BTreeMap<u64, &SimResult> = members
+                .into_iter()
+                .map(|i| (results[i].0.machine.fingerprint(), &*results[i].1))
+                .collect();
+            let dir = self.shard_dir(&key);
+            let path = dir.join(batch_name(&key, &records));
+            if fs::create_dir_all(&dir).is_ok()
+                && self.write_entry(&path, &key, &batch_payload(&records))
+            {
+                self.writes.fetch_add(records.len(), Ordering::Relaxed);
+            }
+        }
     }
 
     /// The cached [`AnnotatedTrace`] for `(bench, budget, geometry)`,
@@ -328,43 +427,84 @@ impl ResultStore {
     /// checksum. Any anomaly is a miss.
     fn load(&self, kind: StoreKind, key: &[u8]) -> Option<Vec<u8>> {
         let path = self.entry_path(kind, key);
-        let Ok(bytes) = fs::read(&path) else {
+        let payload = self.read_entry(&path, key);
+        if payload.is_some() {
+            self.hits[kind.idx()].fetch_add(1, Ordering::Relaxed);
+            self.touch(&path);
+        } else {
             self.misses[kind.idx()].fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        match parse_entry(&bytes, key) {
-            EntryParse::Valid(payload) => {
-                self.hits[kind.idx()].fetch_add(1, Ordering::Relaxed);
-                self.touch(&path);
-                Some(payload)
-            }
-            EntryParse::Stale => {
-                // A well-formed entry from another format/codec
-                // version: expected after an upgrade, not corruption.
-                self.misses[kind.idx()].fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            EntryParse::Corrupt => {
-                self.misses[kind.idx()].fetch_add(1, Ordering::Relaxed);
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        }
+        payload
+    }
+
+    /// Writes one entry, counting one write on success.
+    fn save(&self, kind: StoreKind, key: &[u8], payload: &[u8]) {
+        if self.write_entry(&self.entry_path(kind, key), key, payload) {
+            self.writes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Writes one entry atomically: unique temp file, then `rename`.
-    /// Best-effort — on I/O failure the entry simply stays absent.
-    fn save(&self, kind: StoreKind, key: &[u8], payload: &[u8]) {
+    /// Writes one entry file atomically: unique temp file, then
+    /// `rename`. Best-effort — on I/O failure the entry simply stays
+    /// absent and this returns false.
+    fn write_entry(&self, path: &Path, key: &[u8], payload: &[u8]) -> bool {
         let entry = encode_entry(FORMAT_VERSION, CODEC_VERSION, key, payload);
         let tmp = self.root.join("tmp").join(format!(
             "{}-{}.tmp",
             std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, &entry).is_ok() && fs::rename(&tmp, self.entry_path(kind, key)).is_ok() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
+        if fs::write(&tmp, &entry).is_ok() && fs::rename(&tmp, path).is_ok() {
+            true
         } else {
             let _ = fs::remove_file(&tmp);
+            false
+        }
+    }
+
+    /// The directory holding one shard's batch files.
+    fn shard_dir(&self, key: &[u8]) -> PathBuf {
+        self.root
+            .join(StoreKind::Sim.dir())
+            .join(format!("{:016x}", fnv1a(key)))
+    }
+
+    /// One shard's batch files in name order, each with the
+    /// fingerprint span its name promises (`None` for a name this
+    /// version did not write). Empty if the shard was never written.
+    fn batch_files(&self, key: &[u8]) -> Vec<(PathBuf, Option<(u64, u64)>)> {
+        let Ok(dir) = fs::read_dir(self.shard_dir(key)) else {
+            return Vec::new();
+        };
+        let mut files: Vec<_> = dir
+            .flatten()
+            .map(|e| {
+                let name = e.file_name();
+                let span = name.to_str().and_then(|n| {
+                    let mut hex = n.split('-').map(|h| u64::from_str_radix(h, 16).ok());
+                    Some((hex.next()??, hex.next()??))
+                });
+                (e.path(), span)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Reads and validates one entry file against `key`, returning its
+    /// payload. Structural damage counts as corruption; version skew
+    /// and a missing file do not.
+    fn read_entry(&self, path: &Path, key: &[u8]) -> Option<Vec<u8>> {
+        let bytes = fs::read(path).ok()?;
+        match parse_entry(&bytes, key) {
+            EntryParse::Valid(payload) => Some(payload),
+            // A well-formed entry from another format/codec version:
+            // expected after an upgrade, not corruption.
+            EntryParse::Stale => None,
+            EntryParse::Corrupt => {
+                self.corrupt.fetch_add(1, Ordering::Relaxed);
+                None
+            }
         }
     }
 
@@ -399,8 +539,8 @@ impl ResultStore {
         stats
     }
 
-    /// Deletes every entry (the `repro store clear` operation),
-    /// returning how many were removed.
+    /// Deletes every entry and shard directory (the `repro store
+    /// clear` operation), returning how many entry files were removed.
     ///
     /// # Errors
     ///
@@ -414,13 +554,15 @@ impl ResultStore {
                 removed += 1;
             }
         }
+        self.remove_empty_shards();
         Ok(removed)
     }
 
-    /// Evicts least-recently-accessed entries until the store fits in
-    /// `max_bytes` (the `repro store gc` operation). Ordering is
-    /// `(access time, file name)` — mtime standing in where atime is
-    /// unavailable, the name breaking ties deterministically.
+    /// Evicts least-recently-accessed entry files until the store fits
+    /// in `max_bytes` (the `repro store gc` operation), then removes
+    /// shard directories left empty. A sim batch file goes as a whole.
+    /// Ordering is `(access time, path)` — mtime standing in where
+    /// atime is unavailable, the path breaking ties deterministically.
     pub fn gc(&self, max_bytes: u64) -> GcReport {
         let mut entries: Vec<(Atime, PathBuf, u64)> = Vec::new();
         for kind in StoreKind::ALL {
@@ -444,40 +586,116 @@ impl ResultStore {
                 report.evicted += 1;
             }
         }
+        self.remove_empty_shards();
         self.evictions.fetch_add(report.evicted, Ordering::Relaxed);
         report
     }
 
-    /// Lists one kind's entry files as `(path, accessed-or-mtime,
-    /// len)`, in file-name order (unreadable entries are skipped).
+    /// Removes every shard directory that holds no batch file
+    /// (`remove_dir` refuses non-empty ones).
+    fn remove_empty_shards(&self) {
+        if let Ok(dir) = fs::read_dir(self.root.join(StoreKind::Sim.dir())) {
+            for e in dir.flatten() {
+                if e.file_type().is_ok_and(|t| t.is_dir()) {
+                    let _ = fs::remove_dir(e.path());
+                }
+            }
+        }
+    }
+
+    /// Lists one kind's entry files — including the batch files one
+    /// level down in shard directories — as `(path, accessed-or-mtime,
+    /// len)`, in path order (unreadable entries are skipped).
     fn scan(&self, kind: StoreKind) -> Vec<(PathBuf, Atime, u64)> {
-        let Ok(dir) = fs::read_dir(self.root.join(kind.dir())) else {
-            return Vec::new();
+        let listing = |dir: &Path| -> Vec<(PathBuf, fs::Metadata)> {
+            let Ok(entries) = fs::read_dir(dir) else {
+                return Vec::new();
+            };
+            entries
+                .flatten()
+                .filter_map(|e| Some((e.path(), e.metadata().ok()?)))
+                .collect()
         };
-        let mut out: Vec<_> = dir
-            .flatten()
-            .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                let when = meta.accessed().or_else(|_| meta.modified()).ok()?;
-                meta.is_file().then(|| (e.path(), when, meta.len()))
-            })
-            .collect();
+        let mut out = Vec::new();
+        for (path, meta) in listing(&self.root.join(kind.dir())) {
+            let files = if meta.is_dir() {
+                listing(&path)
+            } else {
+                vec![(path, meta)]
+            };
+            for (path, meta) in files.into_iter().filter(|(_, m)| m.is_file()) {
+                if let Ok(when) = meta.accessed().or_else(|_| meta.modified()) {
+                    out.push((path, when, meta.len()));
+                }
+            }
+        }
         out.sort();
         out
     }
 }
 
-/// One scenario's sim key: kind tag, benchmark name, instruction
-/// count, and the machine's full-configuration fingerprint. `Quick`
-/// deliberately aliases `Custom(500_000)` — they are the same
+/// One scenario's shard key: kind tag, benchmark name, instruction
+/// count, and the machine's front-end geometry fingerprint. A record
+/// inside the shard is keyed by the full-configuration fingerprint.
+/// `Quick` deliberately aliases `Custom(500_000)` — they are the same
 /// simulation.
-fn sim_key(s: &Scenario) -> Vec<u8> {
+fn shard_key(s: &Scenario) -> Vec<u8> {
     let mut key = Vec::new();
     put_u8(&mut key, StoreKind::Sim.tag());
     put_bytes(&mut key, s.bench.as_bytes());
     put_u64(&mut key, s.budget.instructions());
-    put_u64(&mut key, s.machine.fingerprint());
+    put_u64(&mut key, s.machine.frontend_fingerprint());
     key
+}
+
+/// Groups scenarios (by index) under their shard keys, in key order.
+fn shards<'a>(points: impl Iterator<Item = &'a Scenario>) -> BTreeMap<Vec<u8>, Vec<usize>> {
+    let mut out: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
+    for (i, s) in points.enumerate() {
+        out.entry(shard_key(s)).or_default().push(i);
+    }
+    out
+}
+
+/// A batch file's name: its lowest and highest fingerprint, then the
+/// FNV-1a of the shard key and every fingerprint, as `-`-separated
+/// 16-digit hex. The same batch always gets the same name, and the
+/// span lets a reader skip a batch without opening it.
+fn batch_name(key: &[u8], records: &BTreeMap<u64, &SimResult>) -> String {
+    let mut content = key.to_vec();
+    for &fingerprint in records.keys() {
+        put_u64(&mut content, fingerprint);
+    }
+    let lo = records.keys().next().copied().unwrap_or(0);
+    let hi = records.keys().next_back().copied().unwrap_or(0);
+    format!("{lo:016x}-{hi:016x}-{:016x}", fnv1a(&content))
+}
+
+/// Encodes a batch payload: the record count, then each
+/// `(fingerprint, SimResult)` record in ascending fingerprint order.
+fn batch_payload(records: &BTreeMap<u64, &SimResult>) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_u64(&mut payload, records.len() as u64);
+    for (&fingerprint, r) in records {
+        put_u64(&mut payload, fingerprint);
+        put_bytes(&mut payload, &r.to_bytes());
+    }
+    payload
+}
+
+/// Splits a batch payload into its `(fingerprint, encoded SimResult)`
+/// records; `None` if it is malformed.
+fn parse_batch(payload: &[u8]) -> Option<Vec<(u64, &[u8])>> {
+    let mut r = ByteReader::new(payload);
+    // Each record takes at least its fingerprint and length prefix.
+    let count = r.len(16).ok()?;
+    let mut records = Vec::with_capacity(count);
+    for _ in 0..count {
+        let fingerprint = r.u64().ok()?;
+        let n = r.len(1).ok()?;
+        records.push((fingerprint, r.bytes(n).ok()?));
+    }
+    r.is_empty().then_some(records)
 }
 
 /// An annotation key: kind tag, benchmark, instruction count, and the
@@ -597,6 +815,7 @@ fn parse_entry(bytes: &[u8], key: &[u8]) -> EntryParse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Engine;
     use fuleak_core::IntervalSpectrum;
     use fuleak_uarch::MachineConfig;
     use std::sync::atomic::AtomicUsize;
@@ -627,6 +846,31 @@ mod tests {
         Scenario::paper("mst", 2, 12, Budget::Custom(5_000))
     }
 
+    /// Saves `points` as one batch, each with [`sample_sim`].
+    fn save_batch(store: &ResultStore, points: &[&Scenario]) {
+        let results: Vec<_> = points
+            .iter()
+            .map(|&s| (s, Arc::new(sample_sim())))
+            .collect();
+        store.save_sims(&results);
+    }
+
+    /// The one batch file of `s`'s shard.
+    fn only_batch(store: &ResultStore, s: &Scenario) -> PathBuf {
+        let files = store.batch_files(&shard_key(s));
+        assert_eq!(files.len(), 1, "one batch file in the shard");
+        files[0].0.clone()
+    }
+
+    /// Every file under `sim/`, shard directories included.
+    fn sim_files(store: &ResultStore) -> Vec<PathBuf> {
+        store
+            .scan(StoreKind::Sim)
+            .into_iter()
+            .map(|(p, _, _)| p)
+            .collect()
+    }
+
     #[test]
     fn round_trips_each_kind() {
         let dir = scratch("roundtrip");
@@ -634,7 +878,7 @@ mod tests {
         let s = scenario();
 
         assert_eq!(store.load_sim(&s), None);
-        store.save_sim(&s, &sample_sim());
+        save_batch(&store, &[&s]);
         assert_eq!(store.load_sim(&s), Some(sample_sim()));
 
         let mut ann = AnnotatedTrace::with_capacity(1);
@@ -666,6 +910,27 @@ mod tests {
     }
 
     #[test]
+    fn batches_count_records_and_read_each_shard_once() {
+        let dir = scratch("records");
+        let store = ResultStore::open(&dir).unwrap();
+        let points: Vec<Scenario> = (1..=4)
+            .map(|fus| Scenario::paper("mst", fus, 12, Budget::Custom(5_000)))
+            .collect();
+        let other = Scenario::paper("gzip", 1, 12, Budget::Custom(5_000));
+        let refs: Vec<&Scenario> = points.iter().chain([&other]).collect();
+        save_batch(&store, &refs);
+        assert_eq!(store.writes(), 5, "writes count records");
+        assert_eq!(sim_files(&store).len(), 2, "one batch file per shard");
+        // A duplicate and an absent point ride along in one read.
+        let absent = Scenario::paper("mst", 1, 32, Budget::Custom(5_000));
+        let loaded = store.load_sims(&[&points[2], &absent, &other, &points[2]]);
+        let expect = Some(sample_sim());
+        assert_eq!(loaded, vec![expect.clone(), None, expect.clone(), expect]);
+        assert_eq!((store.hits(), store.misses()), (3, 1));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn quick_budget_aliases_its_instruction_count() {
         // Budget::Quick and Budget::Custom(500_000) run the same
         // simulation, so on disk they are deliberately one entry.
@@ -673,7 +938,7 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         let quick = Scenario::paper("mst", 2, 12, Budget::Quick);
         let custom = Scenario::paper("mst", 2, 12, Budget::Custom(500_000));
-        store.save_sim(&quick, &sample_sim());
+        save_batch(&store, &[&quick]);
         assert_eq!(store.load_sim(&custom), Some(sample_sim()));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -683,20 +948,23 @@ mod tests {
         let dir = scratch("versions");
         let store = ResultStore::open(&dir).unwrap();
         let s = scenario();
-        let key = sim_key(&s);
-        let payload = sample_sim().to_bytes();
+        save_batch(&store, &[&s]);
+        let path = only_batch(&store, &s);
+        let key = shard_key(&s);
+        let sample = sample_sim();
+        let payload = batch_payload(&BTreeMap::from([(s.machine.fingerprint(), &sample)]));
         for (format, codec) in [
             (FORMAT_VERSION + 1, CODEC_VERSION),
             (FORMAT_VERSION, CODEC_VERSION + 1),
         ] {
             let entry = encode_entry(format, codec, &key, &payload);
-            fs::write(store.entry_path(StoreKind::Sim, &key), entry).unwrap();
+            fs::write(&path, entry).unwrap();
             assert_eq!(store.load_sim(&s), None, "{format}/{codec} must miss");
         }
         assert_eq!(store.corrupt(), 0, "version skew is stale, not corrupt");
         // The current version over the same key and payload hits.
         let entry = encode_entry(FORMAT_VERSION, CODEC_VERSION, &key, &payload);
-        fs::write(store.entry_path(StoreKind::Sim, &key), entry).unwrap();
+        fs::write(&path, entry).unwrap();
         assert_eq!(store.load_sim(&s), Some(sample_sim()));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -706,8 +974,8 @@ mod tests {
         let dir = scratch("corrupt");
         let store = ResultStore::open(&dir).unwrap();
         let s = scenario();
-        store.save_sim(&s, &sample_sim());
-        let path = store.entry_path(StoreKind::Sim, &sim_key(&s));
+        save_batch(&store, &[&s]);
+        let path = only_batch(&store, &s);
         let pristine = fs::read(&path).unwrap();
 
         // Flip every byte in turn; truncate at every length. Always a
@@ -724,14 +992,66 @@ mod tests {
         // A key-colliding entry (right name, different stored key) is
         // rejected by the key check, not served.
         let other = Scenario::paper("gzip", 2, 12, Budget::Custom(5_000));
+        let sample = sample_sim();
         let entry = encode_entry(
             FORMAT_VERSION,
             CODEC_VERSION,
-            &sim_key(&other),
-            &sample_sim().to_bytes(),
+            &shard_key(&other),
+            &batch_payload(&BTreeMap::from([(s.machine.fingerprint(), &sample)])),
         );
         fs::write(&path, entry).unwrap();
         assert_eq!(store.load_sim(&s), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_batch_misses_only_its_own_points() {
+        let dir = scratch("corrupt-batch");
+        let store = ResultStore::open(&dir).unwrap();
+        let points: Vec<Scenario> = (1..=4)
+            .map(|fus| Scenario::paper("mst", fus, 12, Budget::Custom(5_000)))
+            .collect();
+        // Two batches in one shard, then the first one damaged.
+        save_batch(&store, &[&points[0], &points[1]]);
+        let first = only_batch(&store, &points[0]);
+        save_batch(&store, &[&points[2], &points[3]]);
+        let mut bent = fs::read(&first).unwrap();
+        bent[20] ^= 0x01;
+        fs::write(&first, bent).unwrap();
+
+        let loaded = store.load_sims(&points.iter().collect::<Vec<_>>());
+        let expect = Some(sample_sim());
+        assert_eq!(loaded, vec![None, None, expect.clone(), expect]);
+        assert_eq!(store.corrupt(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn engines_priming_overlapping_batches_leave_every_point_loadable() {
+        let dir = scratch("overlap");
+        let budget = Budget::Custom(5_000);
+        let points: Vec<Scenario> = (1..=4)
+            .map(|fus| Scenario::paper("mst", fus, 12, budget))
+            .collect();
+        // Two engines, each with its own store handle on one root,
+        // prime overlapping batches at the same time.
+        std::thread::scope(|scope| {
+            for range in [0..3, 1..4] {
+                let (dir, points) = (&dir, &points);
+                scope.spawn(move || {
+                    let engine = Engine::new(2);
+                    engine.set_store(Some(Arc::new(ResultStore::open(dir).unwrap())));
+                    engine.prime(&points[range]);
+                });
+            }
+        });
+        let store = ResultStore::open(&dir).unwrap();
+        let loaded = store.load_sims(&points.iter().collect::<Vec<_>>());
+        let fresh = Engine::new(1);
+        for (s, r) in points.iter().zip(loaded) {
+            assert_eq!(r.as_ref(), Some(&*fresh.result(s.clone())), "{s:?}");
+        }
+        assert_eq!(store.corrupt(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -746,7 +1066,7 @@ mod tests {
             budget,
         );
         let wide = Scenario::new("mst", MachineConfig::baseline(), budget);
-        store.save_sim(&narrow, &sample_sim());
+        save_batch(&store, &[&narrow]);
         assert_eq!(store.load_sim(&wide), None, "variants must not alias");
         assert_eq!(store.load_sim(&narrow), Some(sample_sim()));
         fs::remove_dir_all(&dir).unwrap();
@@ -760,7 +1080,7 @@ mod tests {
             .map(|fus| Scenario::paper("mst", fus, 12, Budget::Custom(5_000)))
             .collect();
         for s in &scenarios {
-            store.save_sim(s, &sample_sim());
+            save_batch(&store, &[s]);
         }
         let stats = store.stats();
         assert_eq!(stats.entries(), 4);
@@ -771,11 +1091,15 @@ mod tests {
         // that only two entries fit, and exactly the aged pair dies.
         let entry_len = stats.kinds[0].bytes / 4;
         let past = std::time::SystemTime::UNIX_EPOCH; // lint:allow(wallclock)
+        let files = sim_files(&store);
         for s in &scenarios[..2] {
-            let f = fs::File::options()
-                .append(true)
-                .open(store.entry_path(StoreKind::Sim, &sim_key(s)))
-                .unwrap();
+            let sample = sample_sim();
+            let records = BTreeMap::from([(s.machine.fingerprint(), &sample)]);
+            let path = store
+                .shard_dir(&shard_key(s))
+                .join(batch_name(&shard_key(s), &records));
+            assert!(files.contains(&path));
+            let f = fs::File::options().append(true).open(path).unwrap();
             f.set_times(fs::FileTimes::new().set_accessed(past).set_modified(past))
                 .unwrap();
         }
@@ -790,6 +1114,48 @@ mod tests {
         assert_eq!(store.gc(u64::MAX).evicted, 0);
         assert_eq!(store.clear().unwrap(), 2);
         assert_eq!(store.stats().entries(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gc_evicts_whole_batches_and_empty_shards() {
+        let dir = scratch("gc-shards");
+        let store = ResultStore::open(&dir).unwrap();
+        let budget = Budget::Custom(5_000);
+        let mst: Vec<Scenario> = (1..=3)
+            .map(|fus| Scenario::paper("mst", fus, 12, budget))
+            .collect();
+        let gzip = Scenario::paper("gzip", 1, 12, budget);
+        save_batch(&store, &mst.iter().collect::<Vec<_>>());
+        save_batch(&store, &[&gzip]);
+        // A per-point file from the older flat layout is never read,
+        // but it is an entry that gc reclaims.
+        fs::write(dir.join("sim").join("00000000deadbeef"), b"old entry").unwrap();
+        assert_eq!(store.stats().kinds[0].entries, 3);
+
+        // Age the gzip shard and the old file; a budget that fits
+        // only the three-point batch evicts both, whole.
+        let past = std::time::SystemTime::UNIX_EPOCH; // lint:allow(wallclock)
+        for path in [only_batch(&store, &gzip), dir.join("sim/00000000deadbeef")] {
+            let f = fs::File::options().append(true).open(path).unwrap();
+            f.set_times(fs::FileTimes::new().set_accessed(past).set_modified(past))
+                .unwrap();
+        }
+        let keep = fs::metadata(only_batch(&store, &mst[0])).unwrap().len();
+        let report = store.gc(keep);
+        assert_eq!(report.evicted, 2);
+        assert_eq!(report.bytes_after, keep);
+        assert!(
+            !store.shard_dir(&shard_key(&gzip)).exists(),
+            "empty shard removed"
+        );
+        assert!(store.shard_dir(&shard_key(&mst[0])).exists());
+        let loaded = store.load_sims(&mst.iter().chain([&gzip]).collect::<Vec<_>>());
+        assert_eq!(loaded.iter().filter(|r| r.is_some()).count(), 3);
+
+        // Evicting everything leaves no shard directory behind.
+        assert_eq!(store.gc(0).evicted, 1);
+        assert!(fs::read_dir(dir.join("sim")).unwrap().next().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

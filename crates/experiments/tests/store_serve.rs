@@ -83,6 +83,49 @@ fn warm_store_sweep_runs_zero_simulations() {
     assert_eq!(warm_table.to_csv(), cold_table.to_csv());
 }
 
+/// Every file under `dir`, recursively.
+fn files_under(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |entries| {
+        entries
+            .flatten()
+            .map(|e| {
+                if e.file_type().is_ok_and(|t| t.is_dir()) {
+                    files_under(&e.path())
+                } else {
+                    1
+                }
+            })
+            .sum()
+    })
+}
+
+#[test]
+fn a_cold_sweep_writes_one_batch_file_per_geometry() {
+    // 32 timing points on one front-end geometry: one annotation file
+    // and one simulation batch file, while the counters still count
+    // every point.
+    let dir = TempStore::new("batch-files");
+    let engine = Engine::new(2);
+    engine.set_store(Some(dir.open()));
+    let spec = SweepSpec::new(Budget::Custom(5_000))
+        .benches(["mcf"])
+        .axis_int_fus([1, 2, 3, 4])
+        .axis_l2_latency([12, 32])
+        .axis_rob([64, 128])
+        .axis_width([2, 4]);
+    assert_eq!(engine.run_sweep(&spec), 32);
+    assert_eq!(files_under(&dir.root.join("sim")), 1);
+    assert_eq!(files_under(&dir.root.join("ann")), 1);
+    assert_eq!(engine.stats().disk_writes, 33, "32 points and 1 annotation");
+
+    // A warm engine reads all 32 points back from the one file.
+    let warm = Engine::new(2);
+    let store = dir.open();
+    warm.set_store(Some(Arc::clone(&store)));
+    assert_eq!(warm.run_sweep(&spec), 0);
+    assert_eq!(store.hits_for(StoreKind::Sim), 32);
+}
+
 #[test]
 fn store_never_changes_rendered_bytes() {
     let dir = TempStore::new("bytes");

@@ -355,4 +355,32 @@ mod tests {
         geom.meta_entries = 2;
         assert_ne!(annotate(&geom, &trace), base);
     }
+
+    #[test]
+    fn register_codes_are_none_int_or_fp() {
+        // The timing kernel's single scoreboard indexes by the raw
+        // 8-bit code and keeps slot 0 as "no register": every code must
+        // be 0, `REG_INT_BIT | n` or `REG_FP_BIT | n` with n < 64.
+        use fuleak_workloads::annotated::{REG_MASK, REG_NUM_MASK};
+        let valid = |code: u32| {
+            let n = code & REG_NUM_MASK;
+            code == 0 || code == (REG_INT_BIT | n) || code == (REG_FP_BIT | n)
+        };
+        let cfg = CoreConfig::alpha21264();
+        for bench in Benchmark::all() {
+            let trace = EncodedTrace::capture(&mut bench.instantiate(), 20_000).unwrap();
+            let ann = annotate(&cfg, &trace);
+            for &meta in ann.meta() {
+                for shift in [DST_SHIFT, SRC0_SHIFT, SRC1_SHIFT] {
+                    let code = (meta >> shift) & REG_MASK;
+                    assert!(valid(code), "{}: register code {code:#x}", bench.name);
+                }
+            }
+        }
+        for r in 0..64u8 {
+            assert!(valid(reg_code(Some(ArchReg::Int(r)))));
+            assert!(valid(reg_code(Some(ArchReg::Fp(r)))));
+        }
+        assert_eq!(reg_code(None), 0);
+    }
 }

@@ -45,20 +45,17 @@ impl BandwidthLimiter {
     /// Schedules the next event at the earliest cycle `>= earliest`
     /// with spare bandwidth. Requests earlier than the current frontier
     /// are scheduled at the frontier (the stream is in-order).
+    ///
+    /// Branch-free: a full cycle bumps the frontier by one, a later
+    /// request moves it to the request, and either move restarts the
+    /// count at 1.
+    #[inline]
     pub fn next(&mut self, earliest: u64) -> u64 {
-        if earliest > self.cycle {
-            self.cycle = earliest;
-            self.used = 1;
-            return self.cycle;
-        }
-        if self.used < self.width {
-            self.used += 1;
-            self.cycle
-        } else {
-            self.cycle += 1;
-            self.used = 1;
-            self.cycle
-        }
+        let bump = u64::from(self.used >= self.width);
+        let next = earliest.max(self.cycle + bump);
+        self.used = if next == self.cycle { self.used + 1 } else { 1 };
+        self.cycle = next;
+        next
     }
 }
 

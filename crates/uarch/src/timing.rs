@@ -20,10 +20,12 @@
 //! * all scratch state is owned by the kernel and **reset, not
 //!   rebuilt**, between points: capacity windows are fixed rings,
 //!   functional-unit occupancy is a flat bitmask ring
-//!   ([`FuRing`]) instead of a `BTreeMap`, cache tag arrays are flat
-//!   `sets × ways` slabs instead of per-set `Vec`s, and the register
-//!   scoreboards are plain arrays. After a warm-up run at a given
-//!   shape, a point performs **no scratch allocations**
+//!   ([`FuRing`]) instead of a `BTreeMap`, retired a 64-cycle word
+//!   and a busy run at a time, cache tag arrays are flat `sets ×
+//!   ways` slabs instead of per-set `Vec`s, and the register
+//!   scoreboard is one array indexed by the raw register code. After
+//!   a warm-up run at a given shape, a point performs **no scratch
+//!   allocations**
 //!   ([`TimingKernel::scratch_growths`] counts the exceptions, and a
 //!   debug test asserts the steady state is zero).
 //!
@@ -42,7 +44,7 @@ use fuleak_core::{IdleCursor, IntervalSpectrum};
 use fuleak_workloads::annotated::{
     AnnotatedTrace, DST_SHIFT, FLAG_ENDS_GROUP, FLAG_ITLB_MISS, FLAG_L1I_MISS, FLAG_MISPREDICT,
     FLAG_NEW_LINE, KIND_FP, KIND_INT, KIND_LOAD, KIND_MASK, KIND_MUL, KIND_NOP, KIND_STORE,
-    NO_STORE_MATCH, REG_FP_BIT, REG_INT_BIT, REG_MASK, REG_NUM_MASK, SRC0_SHIFT, SRC1_SHIFT,
+    NO_STORE_MATCH, REG_FP_BIT, REG_INT_BIT, REG_MASK, SRC0_SHIFT, SRC1_SHIFT,
 };
 
 /// Initial capacity (cycles) of each functional-unit occupancy ring.
@@ -56,13 +58,15 @@ const FU_RING_INITIAL: usize = 1 << 10;
 /// A fixed-capacity reusable ring implementing the same contract as
 /// [`crate::resources::CapacityWindow`]: the `i`-th allocation may
 /// not start before the `(i - size)`-th allocation has released.
+/// Zero-filled on reset, so the first `size` allocations read a 0
+/// constraint from the ring itself and no fill count is kept.
 #[derive(Debug, Default)]
 struct FixedWindow {
     buf: Vec<u64>,
     size: usize,
-    /// Index of the oldest retained release once full.
-    head: usize,
-    len: usize,
+    /// Slot of the next allocation, which holds the release of the
+    /// allocation `size` back.
+    pos: usize,
     growths: u64,
 }
 
@@ -73,56 +77,53 @@ impl FixedWindow {
             self.buf.resize(size, 0);
             self.growths += 1;
         }
+        self.buf[..size].fill(0);
         self.size = size;
-        self.head = 0;
-        self.len = 0;
+        self.pos = 0;
     }
 
     #[inline]
     fn constraint(&self) -> u64 {
-        if self.len < self.size {
-            0
-        } else {
-            self.buf[self.head]
-        }
+        self.buf[self.pos]
     }
 
     #[inline]
     fn record(&mut self, release: u64) {
-        if self.len < self.size {
-            let mut i = self.head + self.len;
-            if i >= self.size {
-                i -= self.size;
-            }
-            self.buf[i] = release;
-            self.len += 1;
-        } else {
-            self.buf[self.head] = release;
-            self.head += 1;
-            if self.head == self.size {
-                self.head = 0;
-            }
+        self.buf[self.pos] = release;
+        self.pos += 1;
+        if self.pos == self.size {
+            self.pos = 0;
         }
     }
 }
 
 /// Functional-unit occupancy as a flat ring of per-cycle busy
 /// bitmasks — the reusable, allocation-free equivalent of
-/// [`crate::resources::FuPool`]. Cycles below `base` are retired
-/// (streamed into the per-unit [`IdleCursor`] recorders when stats
-/// are kept); the ring window covers `[base, base + capacity)` and only
-/// ever needs to reach as far back as the in-order dispatch frontier,
-/// because every future allocation's ready time exceeds it.
+/// [`crate::resources::FuPool`]. The masks serve allocation; when
+/// stats are kept, each unit also has a row of 64-bit occupancy words
+/// over the same ring, and retirement walks those rows a word at a
+/// time, streaming each busy run into the unit's [`IdleCursor`]. The
+/// ring window covers `[base, base + capacity)` and only ever needs to
+/// reach as far back as the in-order dispatch frontier, because every
+/// future allocation's ready time exceeds it.
 #[derive(Debug, Default)]
 struct FuRing {
     units: usize,
     full: u16,
     rr: usize,
+    /// First cycle not yet retired.
     base: u64,
+    /// One past the latest allocated cycle (nothing is busy at or
+    /// beyond it).
+    top: u64,
     mask: usize,
     buf: Vec<u16>,
-    /// Number of nonzero slots (lets retirement fast-forward).
-    live: usize,
+    /// `buf.len() / 64`: occupancy words per unit row.
+    words: usize,
+    /// Unit `f`'s row is `rows[f * words..][..words]`; bit `p & 63` of
+    /// word `p >> 6` mirrors bit `f` of `buf[p]`. Empty when stats are
+    /// not kept.
+    rows: Vec<u64>,
     record_stats: bool,
     recorders: Vec<IdleCursor>,
     growths: u64,
@@ -138,6 +139,13 @@ impl FuRing {
             self.buf.fill(0);
         }
         self.mask = self.buf.len() - 1;
+        self.words = self.buf.len() / 64;
+        let row_words = if record_stats { units * self.words } else { 0 };
+        if self.rows.len() < row_words {
+            self.rows.resize(row_words, 0);
+            self.growths += 1;
+        }
+        self.rows.fill(0);
         self.units = units;
         self.full = if units == 16 {
             u16::MAX
@@ -146,7 +154,7 @@ impl FuRing {
         };
         self.rr = 0;
         self.base = 0;
-        self.live = 0;
+        self.top = 0;
         self.record_stats = record_stats;
         self.recorders.clear();
         if record_stats {
@@ -156,44 +164,77 @@ impl FuRing {
 
     /// Retires cycles in `[base, limit)`, recording busy units.
     fn advance(&mut self, limit: u64) {
-        while self.base < limit {
-            if self.live == 0 {
-                self.base = limit;
-                return;
-            }
-            let slot = &mut self.buf[(self.base as usize) & self.mask];
-            if *slot != 0 {
-                let mut bits = std::mem::take(slot);
-                self.live -= 1;
-                if self.record_stats {
+        let end = limit.min(self.top);
+        if self.base < end {
+            self.retire(end);
+        }
+        self.base = self.base.max(limit);
+    }
+
+    /// Retires the live cycles `[base, end)`, one ring word at a time:
+    /// clears their masks and passes each unit's busy runs to its
+    /// recorder in cycle order. `end - base` never exceeds the ring
+    /// capacity, and a word never wraps, because the capacity is a
+    /// multiple of 64.
+    fn retire(&mut self, end: u64) {
+        let mut cycle = self.base;
+        while cycle < end {
+            let pos = (cycle as usize) & self.mask;
+            let lo = pos & 63;
+            let n = ((end - cycle) as usize).min(64 - lo);
+            self.buf[pos..pos + n].fill(0);
+            if self.record_stats {
+                let sel = (u64::MAX >> (64 - n)) << lo;
+                for (f, recorder) in self.recorders.iter_mut().enumerate() {
+                    let word = &mut self.rows[f * self.words + (pos >> 6)];
+                    let mut bits = (*word & sel) >> lo;
+                    *word &= !sel;
+                    let mut at = cycle;
                     while bits != 0 {
-                        let f = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        self.recorders[f].record_busy(self.base);
+                        let skip = bits.trailing_zeros();
+                        bits >>= skip;
+                        let run = bits.trailing_ones();
+                        at += u64::from(skip);
+                        recorder.record_busy_run(at, u64::from(run));
+                        at += u64::from(run);
+                        bits = bits.checked_shr(run).unwrap_or(0);
                     }
                 }
             }
-            self.base += 1;
+            cycle += n as u64;
         }
     }
 
-    /// Doubles the ring, re-placing the live window.
+    /// Doubles the ring, re-placing the live window `[base, top)` and
+    /// rebuilding the rows from the masks.
     fn grow(&mut self) {
         let old_mask = self.mask;
         let mut next = vec![0u16; self.buf.len() * 2];
         let new_mask = next.len() - 1;
-        let mut remaining = self.live;
-        let mut cycle = self.base;
-        while remaining > 0 {
+        let words = next.len() / 64;
+        let row_words = if self.record_stats {
+            self.units * words
+        } else {
+            0
+        };
+        let mut rows = vec![0u64; row_words];
+        for cycle in self.base..self.top {
             let bits = self.buf[(cycle as usize) & old_mask];
-            if bits != 0 {
-                next[(cycle as usize) & new_mask] = bits;
-                remaining -= 1;
+            let pos = (cycle as usize) & new_mask;
+            next[pos] = bits;
+            if self.record_stats {
+                let mut b = bits;
+                while b != 0 {
+                    let f = b.trailing_zeros() as usize;
+                    b &= b - 1;
+                    rows[f * words + (pos >> 6)] |= 1 << (pos & 63);
+                }
             }
-            cycle += 1;
         }
         self.buf = next;
+        self.rows = rows;
         self.mask = new_mask;
+        self.words = words;
         self.growths += 1;
     }
 
@@ -214,7 +255,8 @@ impl FuRing {
                     self.grow();
                 }
             }
-            let slot = &mut self.buf[(cycle as usize) & self.mask];
+            let pos = (cycle as usize) & self.mask;
+            let slot = &mut self.buf[pos];
             let free = !*slot & self.full;
             if free != 0 {
                 // First free unit in cyclic order from the rotating
@@ -227,10 +269,11 @@ impl FuRing {
                 } else {
                     free.trailing_zeros() as usize
                 };
-                if *slot == 0 {
-                    self.live += 1;
-                }
                 *slot |= 1 << f;
+                if self.record_stats {
+                    self.rows[f * self.words + (pos >> 6)] |= 1 << (pos & 63);
+                }
+                self.top = self.top.max(cycle + 1);
                 self.rr = if f + 1 == self.units { 0 } else { f + 1 };
                 return cycle;
             }
@@ -241,21 +284,8 @@ impl FuRing {
     /// Retires everything and returns `(idle spectra, active
     /// cycles)` per unit, each stream closed at `total_cycles`.
     fn finish(&mut self, total_cycles: u64) -> (Vec<IntervalSpectrum>, Vec<u64>) {
-        while self.live > 0 {
-            let slot = &mut self.buf[(self.base as usize) & self.mask];
-            if *slot != 0 {
-                let mut bits = std::mem::take(slot);
-                self.live -= 1;
-                if self.record_stats {
-                    while bits != 0 {
-                        let f = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        self.recorders[f].record_busy(self.base);
-                    }
-                }
-            }
-            self.base += 1;
-        }
+        let top = self.top;
+        self.advance(top);
         let mut idle = Vec::with_capacity(self.recorders.len());
         let mut active = Vec::with_capacity(self.recorders.len());
         for r in &mut self.recorders {
@@ -505,8 +535,10 @@ impl FlatMemory {
 /// performs no scratch allocations per point.
 #[derive(Debug)]
 pub struct TimingKernel {
-    int_ready: [u64; 64],
-    fp_ready: [u64; 64],
+    /// Register scoreboard indexed by the raw 8-bit register code
+    /// (`REG_INT_BIT | n` or `REG_FP_BIT | n`); code 0 ("no register")
+    /// stays 0, so an absent source never delays issue.
+    reg_ready: [u64; 256],
     store_done: Vec<u64>,
     int_pool: FuRing,
     fp_pool: FuRing,
@@ -533,8 +565,7 @@ impl TimingKernel {
     /// [`TimingKernel::run`]).
     pub fn new() -> Self {
         TimingKernel {
-            int_ready: [0; 64],
-            fp_ready: [0; 64],
+            reg_ready: [0; 256],
             store_done: Vec::new(),
             int_pool: FuRing::default(),
             fp_pool: FuRing::default(),
@@ -587,8 +618,7 @@ impl TimingKernel {
         if let Err(e) = cfg.validate() {
             panic!("TimingKernel requires a valid configuration: {e}");
         }
-        self.int_ready.fill(0);
-        self.fp_ready.fill(0);
+        self.reg_ready.fill(0);
         if self.store_done.len() < ann.stores() {
             self.store_done.resize(ann.stores(), 0);
             self.store_growths += 1;
@@ -670,25 +700,11 @@ impl TimingKernel {
             self.fetch_queue.record(dispatch);
 
             // ---------- Operand readiness ----------
-            let mut ready = dispatch + 1;
             let s0 = (meta >> SRC0_SHIFT) & REG_MASK;
-            if s0 != 0 {
-                let t = if s0 & REG_INT_BIT != 0 {
-                    self.int_ready[(s0 & REG_NUM_MASK) as usize]
-                } else {
-                    self.fp_ready[(s0 & REG_NUM_MASK) as usize]
-                };
-                ready = ready.max(t);
-            }
             let s1 = (meta >> SRC1_SHIFT) & REG_MASK;
-            if s1 != 0 {
-                let t = if s1 & REG_INT_BIT != 0 {
-                    self.int_ready[(s1 & REG_NUM_MASK) as usize]
-                } else {
-                    self.fp_ready[(s1 & REG_NUM_MASK) as usize]
-                };
-                ready = ready.max(t);
-            }
+            let ready = (dispatch + 1)
+                .max(self.reg_ready[s0 as usize])
+                .max(self.reg_ready[s1 as usize]);
 
             // ---------- Issue & execute ----------
             // Future allocations' ready times exceed the in-order
@@ -755,11 +771,10 @@ impl TimingKernel {
             }
 
             // ---------- Register writeback ----------
-            if dst & REG_INT_BIT != 0 {
-                self.int_ready[(dst & REG_NUM_MASK) as usize] = complete;
-            } else if dst & REG_FP_BIT != 0 {
-                self.fp_ready[(dst & REG_NUM_MASK) as usize] = complete;
-            }
+            // Code 0 is "no destination": the write lands in slot 0,
+            // which is cleared again so it keeps reading as ready.
+            self.reg_ready[dst as usize] = complete;
+            self.reg_ready[0] = 0;
 
             // ---------- Commit (in order) ----------
             let commit = commit_bw.next((complete + 1).max(last_commit));
@@ -947,5 +962,54 @@ mod tests {
         }
         assert_eq!(flat.accesses, reference.accesses());
         assert_eq!(flat.misses, reference.misses());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The ring allocates the same cycle as [`crate::resources::FuPool`]
+        /// for every request and retires to the same per-unit spectra
+        /// and active counts, on random ready streams over 1–16 units.
+        /// Bursts at a standing frontier saturate long runs of cycles,
+        /// both at the ring's start and just short of its end, and
+        /// far-future ready times overrun its span and force `grow`; each stream runs twice on one ring,
+        /// so the second pass also checks `reset` after a grown run.
+        #[test]
+        fn fu_ring_matches_fu_pool(
+            units in proptest::prop_oneof![1usize..=2, 1usize..=16],
+            steps in proptest::collection::vec(
+                proptest::prop_oneof![0u64..1, 0u64..4], 1..3_000),
+            offsets in proptest::collection::vec(
+                proptest::prop_oneof![0u64..4, 0u64..64, 1_000u64..1_030, 1_000u64..6_000],
+                3_000..3_001),
+            trailing in 0u64..100,
+        ) {
+            use crate::resources::FuPool;
+            let mut ring = FuRing::default();
+            for _ in 0..2 {
+                ring.reset(units, true);
+                let mut pool = FuPool::new(units);
+                let (mut frontier, mut last) = (0u64, 0u64);
+                for (&step, &offset) in steps.iter().zip(&offsets) {
+                    frontier += step;
+                    let ready = frontier + offset;
+                    let (_, cycle) = pool.allocate(ready);
+                    proptest::prop_assert_eq!(ring.allocate(ready, frontier), cycle);
+                    pool.retire_before(frontier);
+                    last = last.max(cycle + 1);
+                }
+                let total = last + trailing;
+                let (idle, active) = ring.finish(total);
+                let stats = pool.into_stats(total);
+                proptest::prop_assert_eq!(
+                    idle,
+                    stats.iter().map(|s| s.idle.clone()).collect::<Vec<_>>()
+                );
+                proptest::prop_assert_eq!(
+                    active,
+                    stats.iter().map(|s| s.active_cycles).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 }
