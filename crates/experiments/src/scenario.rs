@@ -36,7 +36,7 @@
 
 use crate::harness::Budget;
 use crate::policy::{default_eval_axes, policy_energy_of, EvalPoint, PolicyCache, PolicyKind};
-use crate::store::ResultStore;
+use crate::store::{ResultStore, ShardWriter};
 use fuleak_core::accounting::PolicyRun;
 use fuleak_core::fxhash::{FxHashMap, FxHashSet};
 use fuleak_core::policy_eval::PolicyForm;
@@ -1354,8 +1354,9 @@ impl Engine {
     /// (one pass per `(bench, budget, frontend_fingerprint)`), and
     /// finally every point replays its annotation through a worker's
     /// reusable timing kernel. With a store attached, the points are
-    /// read a shard at a time before any work starts, and the replayed
-    /// ones are written back after it, one batch file per shard.
+    /// read a shard at a time before any work starts, and each shard's
+    /// replayed points are written back as one batch file the moment
+    /// the shard's last point finishes.
     ///
     /// Each phase claims its keys in one batch. The point claims are
     /// this call's lookups; the annotation and trace claims are
@@ -1418,12 +1419,14 @@ impl Engine {
             self.annotations.compute(&geometry(&s), build)
         });
         let simulated = todo.len();
-        let results = parallel_map(self.jobs, todo, |s| {
-            (s, self.cache.compute(s, || self.simulate(s)))
+        let store = self.store();
+        let writer = store.as_deref().map(|st| ShardWriter::new(st, &todo));
+        parallel_map(self.jobs, todo, |s| {
+            let result = self.cache.compute(s, || self.simulate(s));
+            if let Some(writer) = &writer {
+                writer.finish(s, result);
+            }
         });
-        if let Some(st) = self.store() {
-            st.save_sims(&results);
-        }
         // Points a concurrent caller claimed first: block until each
         // resolves, so a returned `prime` leaves every requested
         // point servable from cache. If an owner abandoned (panicked)

@@ -25,31 +25,38 @@
 //! [`ResultStore::save_sims`] call persists for the same `(bench,
 //! budget, front-end geometry)` shard goes into one immutable batch
 //! file, so a cold 32-point sweep creates one file, not 32. `<shard>`
-//! is the FNV-1a of the shard key as 16 hex digits. `<batch>` is
-//! `<lo>-<hi>-<hash>`: the batch's lowest and highest machine
-//! fingerprint and the FNV-1a of the shard key plus all its sorted
-//! fingerprints, each as 16 hex digits. The same batch always lands
-//! on the same name, overlapping batches from different engines sit
-//! side by side, each serving its own points, and a reader skips a
-//! batch whose span holds no point it wants without opening it. A
-//! read lists its shard once per call and opens candidate batches
-//! until every wanted point is found. Plain files directly under
-//! `sim/` are per-point entries from an older layout; nothing reads
-//! them, and `repro store gc` reclaims them like any cold entry. Hit,
-//! miss and write counters count records (points), not files.
+//! is the FNV-1a of the shard key and `<batch>` the FNV-1a of the
+//! shard key plus the batch's sorted fingerprints, each as 16 hex
+//! digits. A new batch absorbs the shard's smaller batches before it
+//! is written and deletes them after, so repeated sweeps of one
+//! geometry keep its shard at O(log n) files for n points. A read
+//! lists its shard once per call and opens batches until every wanted
+//! point is found. Plain files directly under `sim/` are per-point
+//! entries from an older layout; nothing reads them, and `repro store
+//! gc` reclaims them like any cold entry. Hit, miss and write counters
+//! count records (points), not files.
 //!
-//! Every entry file is `magic "FLKS" | format version u32 | codec
-//! version u32 | key (length-prefixed) | payload (length-prefixed) |
-//! FNV-1a checksum u64 over everything before it`. A batch's key is
-//! its shard key, and its payload is a `u64` record count followed by
-//! `(machine fingerprint u64, SimResult encoding length-prefixed)`
-//! records, ascending by fingerprint. Reads verify all five in order;
-//! *any* anomaly — short file, bad checksum, version skew, or a
-//! filename-hash collision caught by the stored key — is a miss for
-//! every point the file would have served, never a panic and never a
-//! wrong result. Writes go through a unique temp file plus `rename`,
-//! so readers only ever observe complete entries. Eviction is
-//! size-budgeted LRU by access time over whole files
+//! Every other entry file is `magic "FLKS" | format version u32 |
+//! codec version u32 | key (length-prefixed) | payload
+//! (length-prefixed) | FNV-1a checksum u64 over everything before it`.
+//! A batch file is `magic "FLKB" | format version u32 | codec version
+//! u32 | shard key (length-prefixed) | record count u64 | (machine
+//! fingerprint, length, FNV-1a) u64 triples ascending by fingerprint |
+//! FNV-1a checksum u64 over that header`, then the records'
+//! `SimResult` encodings back to back. A reader takes the header and
+//! index in one bounded read and then reads only the records it
+//! wants, each checked against its own checksum, so a miss costs the
+//! shard's indexes, not its records. Reads verify magic, versions,
+//! key and checksums; *any* anomaly — short file, bad checksum,
+//! version skew, or a filename-hash collision caught by the stored
+//! key — is a miss for every point the file would have served, never
+//! a panic and never a wrong result; a file that fails them for any
+//! reason but version skew is deleted when first found. Writes go
+//! through a unique temp file plus `rename`, so readers only ever
+//! observe complete entries (a reader that lists a batch just before
+//! another writer absorbs and deletes it sees a miss for its points
+//! and re-simulates them).
+//! Eviction is size-budgeted LRU by access time over whole files
 //! ([`ResultStore::gc`]); read hits re-touch their entry's access
 //! time so hot entries survive, with mtime as the fallback ordering
 //! on filesystems that don't track atime.
@@ -64,10 +71,10 @@ use fuleak_uarch::SimResult;
 use fuleak_workloads::AnnotatedTrace;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Version of the store's *container* format (the entry header and
 /// directory layout). Orthogonal to [`CODEC_VERSION`], which names
@@ -269,9 +276,9 @@ impl ResultStore {
     }
 
     /// The cached [`SimResult`] of each scenario, in input order. Each
-    /// shard the scenarios touch is scanned once, stopping as soon as
-    /// every point of the shard is found; every scenario counts one
-    /// hit or one miss.
+    /// shard the scenarios touch is listed once and its batch files
+    /// read until every point of the shard is found; every scenario
+    /// counts one hit or one miss.
     pub fn load_sims(&self, points: &[&Scenario]) -> Vec<Option<SimResult>> {
         let mut out: Vec<Option<SimResult>> = vec![None; points.len()];
         for (key, members) in shards(points.iter().copied()) {
@@ -280,38 +287,34 @@ impl ResultStore {
                 let fingerprint = points[i].machine.fingerprint();
                 wanted.entry(fingerprint).or_default().push(i);
             }
-            for (path, span) in self.batch_files(&key) {
+            for (path, _) in self.batch_files(&key) {
                 if wanted.is_empty() {
                     break;
                 }
-                // The name bounds the batch's fingerprints: skip a file
-                // that cannot hold a wanted point without opening it.
-                if span.is_some_and(|(lo, hi)| wanted.range(lo..=hi).next().is_none()) {
-                    continue;
-                }
-                let Some(payload) = self.read_entry(&path, &key) else {
-                    continue;
-                };
-                let Some(records) = parse_batch(&payload) else {
-                    self.corrupt.fetch_add(1, Ordering::Relaxed);
+                // Only the index is read unless the batch holds a
+                // wanted point, and then only that point's record.
+                let Some(mut batch) = self.open_batch(&path, &key) else {
                     continue;
                 };
                 let mut served = false;
-                for (fingerprint, bytes) in records {
-                    let Some(slots) = wanted.get(&fingerprint) else {
+                for i in 0..batch.index.len() {
+                    let fingerprint = batch.index[i].0;
+                    let Some(slots) = wanted.remove(&fingerprint) else {
                         continue;
                     };
-                    // The batch checksum passed but the record does not
-                    // decode: a codec mismatch the version header failed
-                    // to catch.
-                    let Ok(result) = SimResult::from_bytes(bytes) else {
-                        self.corrupt.fetch_add(1, Ordering::Relaxed);
-                        continue;
+                    // A record that fails its checksum, or passes it and
+                    // still does not decode (a codec mismatch the version
+                    // header failed to catch), condemns its batch.
+                    let Some(result) = batch.record(i).and_then(|b| SimResult::from_bytes(&b).ok())
+                    else {
+                        wanted.insert(fingerprint, slots);
+                        self.reject(&path);
+                        served = false;
+                        break;
                     };
-                    for &i in slots {
+                    for &i in &slots {
                         out[i] = Some(result.clone());
                     }
-                    wanted.remove(&fingerprint);
                     served = true;
                 }
                 if served {
@@ -328,19 +331,53 @@ impl ResultStore {
 
     /// Persists simulation results, one batch file per shard
     /// (best-effort: I/O errors degrade to future misses). Each result
-    /// written counts one write.
+    /// passed in counts one write.
+    ///
+    /// The new batch absorbs the shard's existing batches, smallest
+    /// first, while each is at most twice the size of what the new
+    /// batch holds so far; the absorbed files are deleted once the new
+    /// one is in place. Like a binary counter, a shard that has taken
+    /// `n` points holds O(log n) files, and each point is rewritten
+    /// O(log n) times. A file another writer deletes first is skipped
+    /// (its points live on in that writer's batch), and a file from
+    /// another store version is left for [`ResultStore::gc`].
     pub fn save_sims(&self, results: &[(&Scenario, Arc<SimResult>)]) {
         for (key, members) in shards(results.iter().map(|(s, _)| *s)) {
-            let records: BTreeMap<u64, &SimResult> = members
-                .into_iter()
-                .map(|i| (results[i].0.machine.fingerprint(), &*results[i].1))
+            let mut records: BTreeMap<u64, Vec<u8>> = members
+                .iter()
+                .map(|&i| (results[i].0.machine.fingerprint(), results[i].1.to_bytes()))
                 .collect();
+            let written = records.len();
+            let mut size = batch_len(&key, &records);
+            let mut absorbed = Vec::new();
+            for (path, len) in self.batch_files(&key) {
+                if len > 2 * size {
+                    break;
+                }
+                let Some(mut batch) = self.open_batch(&path, &key) else {
+                    continue;
+                };
+                let Some(old) = (0..batch.index.len())
+                    .map(|i| Some((batch.index[i].0, batch.record(i)?)))
+                    .collect::<Option<Vec<_>>>()
+                else {
+                    self.reject(&path);
+                    continue;
+                };
+                for (fingerprint, bytes) in old {
+                    records.entry(fingerprint).or_insert(bytes);
+                }
+                size += len;
+                absorbed.push(path);
+            }
             let dir = self.shard_dir(&key);
             let path = dir.join(batch_name(&key, &records));
-            if fs::create_dir_all(&dir).is_ok()
-                && self.write_entry(&path, &key, &batch_payload(&records))
-            {
-                self.writes.fetch_add(records.len(), Ordering::Relaxed);
+            let bytes = encode_batch(FORMAT_VERSION, CODEC_VERSION, &key, &records);
+            if fs::create_dir_all(&dir).is_ok() && self.write_file(&path, &bytes) {
+                self.writes.fetch_add(written, Ordering::Relaxed);
+                for old in absorbed.iter().filter(|&old| *old != path) {
+                    let _ = fs::remove_file(old);
+                }
             }
         }
     }
@@ -444,17 +481,24 @@ impl ResultStore {
         }
     }
 
-    /// Writes one entry file atomically: unique temp file, then
-    /// `rename`. Best-effort — on I/O failure the entry simply stays
-    /// absent and this returns false.
+    /// Writes one entry file.
     fn write_entry(&self, path: &Path, key: &[u8], payload: &[u8]) -> bool {
-        let entry = encode_entry(FORMAT_VERSION, CODEC_VERSION, key, payload);
+        self.write_file(
+            path,
+            &encode_entry(FORMAT_VERSION, CODEC_VERSION, key, payload),
+        )
+    }
+
+    /// Writes one file atomically: unique temp file, then `rename`.
+    /// Best-effort — on I/O failure the file simply stays absent and
+    /// this returns false.
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> bool {
         let tmp = self.root.join("tmp").join(format!(
             "{}-{}.tmp",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, &entry).is_ok() && fs::rename(&tmp, path).is_ok() {
+        if fs::write(&tmp, bytes).is_ok() && fs::rename(&tmp, path).is_ok() {
             true
         } else {
             let _ = fs::remove_file(&tmp);
@@ -469,31 +513,23 @@ impl ResultStore {
             .join(format!("{:016x}", fnv1a(key)))
     }
 
-    /// One shard's batch files in name order, each with the
-    /// fingerprint span its name promises (`None` for a name this
-    /// version did not write). Empty if the shard was never written.
-    fn batch_files(&self, key: &[u8]) -> Vec<(PathBuf, Option<(u64, u64)>)> {
+    /// One shard's batch files with their lengths, smallest first
+    /// (ties by name). Empty if the shard was never written.
+    fn batch_files(&self, key: &[u8]) -> Vec<(PathBuf, u64)> {
         let Ok(dir) = fs::read_dir(self.shard_dir(key)) else {
             return Vec::new();
         };
         let mut files: Vec<_> = dir
             .flatten()
-            .map(|e| {
-                let name = e.file_name();
-                let span = name.to_str().and_then(|n| {
-                    let mut hex = n.split('-').map(|h| u64::from_str_radix(h, 16).ok());
-                    Some((hex.next()??, hex.next()??))
-                });
-                (e.path(), span)
-            })
+            .filter_map(|e| Some((e.metadata().ok()?.len(), e.path())))
             .collect();
         files.sort();
-        files
+        files.into_iter().map(|(len, path)| (path, len)).collect()
     }
 
     /// Reads and validates one entry file against `key`, returning its
-    /// payload. Structural damage counts as corruption; version skew
-    /// and a missing file do not.
+    /// payload. Structural damage counts as corruption and deletes the
+    /// file; version skew and a missing file do neither.
     fn read_entry(&self, path: &Path, key: &[u8]) -> Option<Vec<u8>> {
         let bytes = fs::read(path).ok()?;
         match parse_entry(&bytes, key) {
@@ -502,7 +538,30 @@ impl ResultStore {
             // expected after an upgrade, not corruption.
             EntryParse::Stale => None,
             EntryParse::Corrupt => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
+                self.reject(path);
+                None
+            }
+        }
+    }
+
+    /// Counts a structurally damaged entry file and deletes it: no
+    /// version of the store can read it, and deleting it means it is
+    /// read and counted once rather than on every later miss. Writes
+    /// are atomic, so a damaged file is never one still being written.
+    fn reject(&self, path: &Path) {
+        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        let _ = fs::remove_file(path);
+    }
+
+    /// Opens one batch file and verifies its header against `key`,
+    /// reading at most the first [`BATCH_HEAD`] bytes unless the index
+    /// is longer. Structural damage counts as corruption and deletes
+    /// the file; version skew and a missing file do neither.
+    fn open_batch(&self, path: &Path, key: &[u8]) -> Option<Batch> {
+        match Batch::open(path, key) {
+            Ok(batch) => batch,
+            Err(Damaged) => {
+                self.reject(path);
                 None
             }
         }
@@ -634,6 +693,53 @@ impl ResultStore {
     }
 }
 
+/// Writes one batch per shard as replayed points arrive: each shard's
+/// batch goes to the store the moment its last expected point does,
+/// so an interrupted sweep keeps every shard it finished.
+pub(crate) struct ShardWriter<'a> {
+    store: &'a ResultStore,
+    /// Per shard key: points still expected, and the finished ones.
+    open: Mutex<BTreeMap<Vec<u8>, (usize, Finished<'a>)>>,
+}
+
+/// A shard's finished points, waiting for the rest.
+type Finished<'a> = Vec<(&'a Scenario, Arc<SimResult>)>;
+
+impl<'a> ShardWriter<'a> {
+    /// A writer expecting exactly `points`.
+    pub(crate) fn new(store: &'a ResultStore, points: &[&'a Scenario]) -> Self {
+        let open = shards(points.iter().copied())
+            .into_iter()
+            .map(|(key, members)| (key, (members.len(), Vec::new())))
+            .collect();
+        ShardWriter {
+            store,
+            open: Mutex::new(open),
+        }
+    }
+
+    /// Takes one finished point, writing its shard's batch if it was
+    /// the last one expected there.
+    pub(crate) fn finish(&self, s: &'a Scenario, result: Arc<SimResult>) {
+        let key = shard_key(s);
+        let batch = {
+            let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+            let Some((left, done)) = open.get_mut(&key) else {
+                return;
+            };
+            done.push((s, result));
+            *left -= 1;
+            if *left > 0 {
+                return;
+            }
+            open.remove(&key).map(|(_, done)| done)
+        };
+        if let Some(batch) = batch {
+            self.store.save_sims(&batch);
+        }
+    }
+}
+
 /// One scenario's shard key: kind tag, benchmark name, instruction
 /// count, and the machine's front-end geometry fingerprint. A record
 /// inside the shard is keyed by the full-configuration fingerprint.
@@ -657,45 +763,149 @@ fn shards<'a>(points: impl Iterator<Item = &'a Scenario>) -> BTreeMap<Vec<u8>, V
     out
 }
 
-/// A batch file's name: its lowest and highest fingerprint, then the
-/// FNV-1a of the shard key and every fingerprint, as `-`-separated
-/// 16-digit hex. The same batch always gets the same name, and the
-/// span lets a reader skip a batch without opening it.
-fn batch_name(key: &[u8], records: &BTreeMap<u64, &SimResult>) -> String {
+/// A batch file's name: the FNV-1a of the shard key and every
+/// fingerprint in the batch, as 16 hex digits. The same batch always
+/// gets the same name.
+fn batch_name(key: &[u8], records: &BTreeMap<u64, Vec<u8>>) -> String {
     let mut content = key.to_vec();
     for &fingerprint in records.keys() {
         put_u64(&mut content, fingerprint);
     }
-    let lo = records.keys().next().copied().unwrap_or(0);
-    let hi = records.keys().next_back().copied().unwrap_or(0);
-    format!("{lo:016x}-{hi:016x}-{:016x}", fnv1a(&content))
+    format!("{:016x}", fnv1a(&content))
 }
 
-/// Encodes a batch payload: the record count, then each
-/// `(fingerprint, SimResult)` record in ascending fingerprint order.
-fn batch_payload(records: &BTreeMap<u64, &SimResult>) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, records.len() as u64);
+/// The batch-file magic.
+const BATCH_MAGIC: &[u8; 4] = b"FLKB";
+
+/// Bytes a batch read takes in one go: the header and index of any
+/// batch up to a few thousand points, and every record of a small one.
+const BATCH_HEAD: u64 = 64 * 1024;
+
+/// Serializes one batch file: `magic "FLKB" | format version u32 |
+/// codec version u32 | key (length-prefixed) | record count u64 |
+/// (fingerprint u64, length u64, FNV-1a u64) per record, ascending by
+/// fingerprint | FNV-1a u64 over everything before it`, then the
+/// records' [`SimResult`] encodings back to back in index order.
+/// Exposed within the crate so tests can craft batches under *other*
+/// versions.
+pub(crate) fn encode_batch(
+    format: u32,
+    codec: u32,
+    key: &[u8],
+    records: &BTreeMap<u64, Vec<u8>>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(batch_len(key, records) as usize);
+    out.extend_from_slice(BATCH_MAGIC);
+    put_u32(&mut out, format);
+    put_u32(&mut out, codec);
+    put_bytes(&mut out, key);
+    put_u64(&mut out, records.len() as u64);
     for (&fingerprint, r) in records {
-        put_u64(&mut payload, fingerprint);
-        put_bytes(&mut payload, &r.to_bytes());
+        put_u64(&mut out, fingerprint);
+        put_u64(&mut out, r.len() as u64);
+        put_u64(&mut out, fnv1a(r));
     }
-    payload
+    let checksum = fnv1a(&out);
+    put_u64(&mut out, checksum);
+    for r in records.values() {
+        out.extend_from_slice(r);
+    }
+    out
 }
 
-/// Splits a batch payload into its `(fingerprint, encoded SimResult)`
-/// records; `None` if it is malformed.
-fn parse_batch(payload: &[u8]) -> Option<Vec<(u64, &[u8])>> {
-    let mut r = ByteReader::new(payload);
-    // Each record takes at least its fingerprint and length prefix.
-    let count = r.len(16).ok()?;
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let fingerprint = r.u64().ok()?;
-        let n = r.len(1).ok()?;
-        records.push((fingerprint, r.bytes(n).ok()?));
+/// The length of the file [`encode_batch`] writes for `records`.
+fn batch_len(key: &[u8], records: &BTreeMap<u64, Vec<u8>>) -> u64 {
+    let fixed = BATCH_MAGIC.len() + 4 + 4 + 8 + key.len() + 8 + 8;
+    (fixed + records.values().map(|r| 24 + r.len()).sum::<usize>()) as u64
+}
+
+/// A batch file that fails a structural check.
+struct Damaged;
+
+/// An open batch file whose header and index passed their checksum.
+struct Batch {
+    file: fs::File,
+    /// The file's first bytes: the header, and whatever records fit.
+    head: Vec<u8>,
+    /// `(fingerprint, offset, length, FNV-1a)` of each record, offsets
+    /// from the start of the file, ascending by fingerprint.
+    index: Vec<(u64, u64, u64, u64)>,
+}
+
+impl Batch {
+    /// Opens and verifies a batch's header: `Ok(None)` if the file is
+    /// gone or was written by another format or codec version.
+    fn open(path: &Path, key: &[u8]) -> Result<Option<Batch>, Damaged> {
+        let Ok(mut file) = fs::File::open(path) else {
+            return Ok(None);
+        };
+        let len = file.metadata().map_err(|_| Damaged)?.len();
+        let mut head = vec![0; len.min(BATCH_HEAD) as usize];
+        file.read_exact(&mut head).map_err(|_| Damaged)?;
+        let mut r = ByteReader::new(&head);
+        if r.bytes(BATCH_MAGIC.len()).map_err(|_| Damaged)? != BATCH_MAGIC {
+            return Err(Damaged);
+        }
+        let (Ok(format), Ok(codec)) = (r.u32(), r.u32()) else {
+            return Err(Damaged);
+        };
+        if (format, codec) != (FORMAT_VERSION, CODEC_VERSION) {
+            // Written by another version: stale, not damage.
+            return Ok(None);
+        }
+        let stored_key = r.len(1).and_then(|n| r.bytes(n)).map_err(|_| Damaged)?;
+        if stored_key != key {
+            // A filename-hash collision: another shard's batch.
+            return Err(Damaged);
+        }
+        let count = r.u64().map_err(|_| Damaged)?;
+        let index_at = (head.len() - r.remaining()) as u64;
+        let header_len = count
+            .checked_mul(24)
+            .and_then(|n| n.checked_add(index_at + 8))
+            .filter(|&n| n <= len)
+            .ok_or(Damaged)?;
+        if header_len > head.len() as u64 {
+            let at = head.len();
+            head.resize(header_len as usize, 0);
+            file.read_exact(&mut head[at..]).map_err(|_| Damaged)?;
+        }
+        let (body, tail) = head[..header_len as usize].split_at(header_len as usize - 8);
+        if fnv1a(body) != u64::from_le_bytes(tail.try_into().expect("8-byte checksum")) {
+            return Err(Damaged);
+        }
+        let mut r = ByteReader::new(&body[index_at as usize..]);
+        let mut offset = header_len;
+        let mut index = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let (fingerprint, n, sum) = (r.u64(), r.u64(), r.u64());
+            let (Ok(fingerprint), Ok(n), Ok(sum)) = (fingerprint, n, sum) else {
+                return Err(Damaged);
+            };
+            index.push((fingerprint, offset, n, sum));
+            offset = offset.checked_add(n).ok_or(Damaged)?;
+        }
+        if offset != len {
+            return Err(Damaged);
+        }
+        Ok(Some(Batch { file, head, index }))
     }
-    r.is_empty().then_some(records)
+
+    /// Record `i`'s bytes, read from the head or the file and checked
+    /// against its checksum; `None` if either fails.
+    fn record(&mut self, i: usize) -> Option<Vec<u8>> {
+        let (_, offset, len, sum) = self.index[i];
+        let (start, end) = (offset as usize, (offset + len) as usize);
+        let bytes = if end <= self.head.len() {
+            self.head[start..end].to_vec()
+        } else {
+            let mut bytes = vec![0; len as usize];
+            self.file.seek(SeekFrom::Start(offset)).ok()?;
+            self.file.read_exact(&mut bytes).ok()?;
+            bytes
+        };
+        (fnv1a(&bytes) == sum).then_some(bytes)
+    }
 }
 
 /// An annotation key: kind tag, benchmark, instruction count, and the
@@ -855,6 +1065,11 @@ mod tests {
         store.save_sims(&results);
     }
 
+    /// `s` with [`sample_sim`], as the records of a one-point batch.
+    fn one_record(s: &Scenario) -> BTreeMap<u64, Vec<u8>> {
+        BTreeMap::from([(s.machine.fingerprint(), sample_sim().to_bytes())])
+    }
+
     /// The one batch file of `s`'s shard.
     fn only_batch(store: &ResultStore, s: &Scenario) -> PathBuf {
         let files = store.batch_files(&shard_key(s));
@@ -951,19 +1166,18 @@ mod tests {
         save_batch(&store, &[&s]);
         let path = only_batch(&store, &s);
         let key = shard_key(&s);
-        let sample = sample_sim();
-        let payload = batch_payload(&BTreeMap::from([(s.machine.fingerprint(), &sample)]));
+        let records = one_record(&s);
         for (format, codec) in [
             (FORMAT_VERSION + 1, CODEC_VERSION),
             (FORMAT_VERSION, CODEC_VERSION + 1),
         ] {
-            let entry = encode_entry(format, codec, &key, &payload);
+            let entry = encode_batch(format, codec, &key, &records);
             fs::write(&path, entry).unwrap();
             assert_eq!(store.load_sim(&s), None, "{format}/{codec} must miss");
         }
         assert_eq!(store.corrupt(), 0, "version skew is stale, not corrupt");
-        // The current version over the same key and payload hits.
-        let entry = encode_entry(FORMAT_VERSION, CODEC_VERSION, &key, &payload);
+        // The current version over the same key and records hits.
+        let entry = encode_batch(FORMAT_VERSION, CODEC_VERSION, &key, &records);
         fs::write(&path, entry).unwrap();
         assert_eq!(store.load_sim(&s), Some(sample_sim()));
         fs::remove_dir_all(&dir).unwrap();
@@ -992,12 +1206,11 @@ mod tests {
         // A key-colliding entry (right name, different stored key) is
         // rejected by the key check, not served.
         let other = Scenario::paper("gzip", 2, 12, Budget::Custom(5_000));
-        let sample = sample_sim();
-        let entry = encode_entry(
+        let entry = encode_batch(
             FORMAT_VERSION,
             CODEC_VERSION,
             &shard_key(&other),
-            &batch_payload(&BTreeMap::from([(s.machine.fingerprint(), &sample)])),
+            &one_record(&s),
         );
         fs::write(&path, entry).unwrap();
         assert_eq!(store.load_sim(&s), None);
@@ -1011,18 +1224,68 @@ mod tests {
         let points: Vec<Scenario> = (1..=4)
             .map(|fus| Scenario::paper("mst", fus, 12, Budget::Custom(5_000)))
             .collect();
-        // Two batches in one shard, then the first one damaged.
-        save_batch(&store, &[&points[0], &points[1]]);
+        // Two batches in one shard (the second too small to absorb the
+        // first), then the first one damaged.
+        save_batch(&store, &[&points[0], &points[1], &points[2]]);
         let first = only_batch(&store, &points[0]);
-        save_batch(&store, &[&points[2], &points[3]]);
+        save_batch(&store, &[&points[3]]);
+        assert_eq!(sim_files(&store).len(), 2);
         let mut bent = fs::read(&first).unwrap();
         bent[20] ^= 0x01;
         fs::write(&first, bent).unwrap();
 
         let loaded = store.load_sims(&points.iter().collect::<Vec<_>>());
-        let expect = Some(sample_sim());
-        assert_eq!(loaded, vec![None, None, expect.clone(), expect]);
+        assert_eq!(loaded, vec![None, None, None, Some(sample_sim())]);
         assert_eq!(store.corrupt(), 1);
+        // The damaged batch is gone after that one read, so a second
+        // read neither opens nor counts it again.
+        assert!(!first.exists());
+        let again = store.load_sims(&points.iter().collect::<Vec<_>>());
+        assert_eq!(again, loaded);
+        assert_eq!(store.corrupt(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn repeated_batches_into_one_shard_stay_few_files() {
+        let dir = scratch("absorb");
+        let store = ResultStore::open(&dir).unwrap();
+        let budget = Budget::Custom(5_000);
+        // Sixteen sweeps of one geometry, four new points each, then
+        // sixteen single points: after n batches the shard holds at
+        // most 1 + log2(n) files, and every point stays loadable.
+        let mut points = Vec::new();
+        let mut batches = 0u32;
+        let mut save = |batch: Vec<Scenario>, points: &mut Vec<Scenario>| {
+            save_batch(&store, &batch.iter().collect::<Vec<_>>());
+            points.extend(batch);
+            batches += 1;
+            let files = sim_files(&store).len() as u32;
+            assert!(
+                files <= 1 + batches.ilog2(),
+                "{files} files after {batches}"
+            );
+        };
+        for sweep in 0..16u64 {
+            let batch = (1..=4)
+                .map(|fus| Scenario::paper("mst", fus, 100 + sweep, budget))
+                .collect();
+            save(batch, &mut points);
+        }
+        for l2 in 0..16 {
+            save(
+                vec![Scenario::paper("mst", 1, 200 + l2, budget)],
+                &mut points,
+            );
+        }
+        assert_eq!(store.writes(), 80, "writes count new records only");
+        let records = one_record(&points[0]);
+        let key = shard_key(&points[0]);
+        let entry = encode_batch(FORMAT_VERSION, CODEC_VERSION, &key, &records);
+        assert_eq!(batch_len(&key, &records), entry.len() as u64);
+        let loaded = store.load_sims(&points.iter().collect::<Vec<_>>());
+        assert!(loaded.iter().all(|r| r.as_ref() == Some(&sample_sim())));
+        assert_eq!(store.corrupt(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1056,6 +1319,33 @@ mod tests {
     }
 
     #[test]
+    fn a_large_batch_reads_its_index_and_only_the_wanted_records() {
+        let dir = scratch("large");
+        fs::create_dir_all(&dir).unwrap();
+        let key = shard_key(&scenario());
+        // 64 records of 4 KiB: the index fits in the first read, most
+        // records do not.
+        let records: BTreeMap<u64, Vec<u8>> =
+            (0..64u64).map(|fp| (fp, vec![fp as u8; 4096])).collect();
+        let path = dir.join("big");
+        let mut bytes = encode_batch(FORMAT_VERSION, CODEC_VERSION, &key, &records);
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let Ok(Some(mut batch)) = Batch::open(&path, &key) else {
+            panic!("the header is intact");
+        };
+        assert_eq!(batch.head.len() as u64, BATCH_HEAD);
+        assert_eq!(batch.index.len(), 64);
+        for i in [0, 1, 40, 62] {
+            assert_eq!(batch.record(i).as_ref(), Some(&records[&(i as u64)]));
+        }
+        // The damaged last record fails its own checksum.
+        assert_eq!(batch.record(63), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn machine_variants_key_separate_entries() {
         let dir = scratch("variants");
         let store = ResultStore::open(&dir).unwrap();
@@ -1076,8 +1366,15 @@ mod tests {
     fn stats_clear_and_gc() {
         let dir = scratch("maintenance");
         let store = ResultStore::open(&dir).unwrap();
-        let scenarios: Vec<Scenario> = (1..=4)
-            .map(|fus| Scenario::paper("mst", fus, 12, Budget::Custom(5_000)))
+        // Four one-point batches, each on its own front-end geometry
+        // (so its own shard, and none absorbs another), all of one
+        // size.
+        let scenarios: Vec<Scenario> = [512, 1024, 2048, 4096]
+            .into_iter()
+            .map(|bimodal| {
+                let machine = MachineConfig::derived(|c| c.bimodal_entries = bimodal).unwrap();
+                Scenario::new("mst", machine, Budget::Custom(5_000))
+            })
             .collect();
         for s in &scenarios {
             save_batch(&store, &[s]);
@@ -1093,11 +1390,9 @@ mod tests {
         let past = std::time::SystemTime::UNIX_EPOCH; // lint:allow(wallclock)
         let files = sim_files(&store);
         for s in &scenarios[..2] {
-            let sample = sample_sim();
-            let records = BTreeMap::from([(s.machine.fingerprint(), &sample)]);
             let path = store
                 .shard_dir(&shard_key(s))
-                .join(batch_name(&shard_key(s), &records));
+                .join(batch_name(&shard_key(s), &one_record(s)));
             assert!(files.contains(&path));
             let f = fs::File::options().append(true).open(path).unwrap();
             f.set_times(fs::FileTimes::new().set_accessed(past).set_modified(past))

@@ -13,7 +13,7 @@
 use fuleak_experiments::experiment::sweep_table;
 use fuleak_experiments::serve::Server;
 use fuleak_experiments::store::StoreKind;
-use fuleak_experiments::{Budget, Engine, ResultStore, SweepSpec};
+use fuleak_experiments::{Budget, Engine, ResultStore, Scenario, SweepSpec};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -124,6 +124,52 @@ fn a_cold_sweep_writes_one_batch_file_per_geometry() {
     warm.set_store(Some(Arc::clone(&store)));
     assert_eq!(warm.run_sweep(&spec), 0);
     assert_eq!(store.hits_for(StoreKind::Sim), 32);
+}
+
+#[test]
+fn repeated_sweeps_of_one_geometry_keep_its_shard_small() {
+    // Eight sweeps of one geometry with four new timing points each,
+    // then eight single points through the lazy per-point path: after
+    // n batches the shard holds at most 1 + log2(n) files, and a warm
+    // engine reads every point back.
+    let dir = TempStore::new("one-geometry");
+    let sim = dir.root.join("sim");
+    let budget = Budget::Custom(5_000);
+    let engine = Engine::new(2);
+    engine.set_store(Some(dir.open()));
+    let sweeps: Vec<SweepSpec> = (0..8u64)
+        .map(|i| {
+            SweepSpec::new(budget)
+                .benches(["mcf"])
+                .axis_int_fus([1, 2])
+                .axis_memory_latency([60 + 10 * i, 65 + 10 * i])
+        })
+        .collect();
+    let mut batches = 0u32;
+    for spec in &sweeps {
+        assert_eq!(engine.run_sweep(spec), 4);
+        batches += 1;
+        assert!(files_under(&sim) as u32 <= 1 + batches.ilog2());
+    }
+    let singles: Vec<Scenario> = (0..8)
+        .map(|i| Scenario::paper("mcf", 3, 100 + i, budget))
+        .collect();
+    for s in &singles {
+        engine.result(s.clone());
+        batches += 1;
+        assert!(files_under(&sim) as u32 <= 1 + batches.ilog2());
+    }
+    assert_eq!(files_under(&dir.root.join("ann")), 1);
+
+    let warm = Engine::new(2);
+    let store = dir.open();
+    warm.set_store(Some(Arc::clone(&store)));
+    for spec in &sweeps {
+        assert_eq!(warm.run_sweep(spec), 0);
+    }
+    assert_eq!(warm.prime(&singles), 0);
+    assert_eq!(store.hits_for(StoreKind::Sim), 40);
+    assert_eq!(store.corrupt(), 0);
 }
 
 #[test]
