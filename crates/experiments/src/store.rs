@@ -1346,6 +1346,39 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_writers_into_one_shard_lose_no_point() {
+        let dir = scratch("writers");
+        let budget = Budget::Custom(5_000);
+        // Four store handles on one root each write twelve two-point
+        // batches into the same shard at once, absorbing and deleting
+        // each other's files as they go.
+        let points: Vec<Vec<Scenario>> = (0..4u64)
+            .map(|w| {
+                (0..24u64)
+                    .map(|i| Scenario::paper("mst", 1 + (i % 2) as usize, 100 + 24 * w + i, budget))
+                    .collect()
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for mine in &points {
+                let dir = &dir;
+                scope.spawn(move || {
+                    let store = ResultStore::open(dir).unwrap();
+                    for pair in mine.chunks(2) {
+                        save_batch(&store, &pair.iter().collect::<Vec<_>>());
+                    }
+                });
+            }
+        });
+        let store = ResultStore::open(&dir).unwrap();
+        let all: Vec<&Scenario> = points.iter().flatten().collect();
+        let loaded = store.load_sims(&all);
+        assert!(loaded.iter().all(|r| r.as_ref() == Some(&sample_sim())));
+        assert_eq!(store.corrupt(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn machine_variants_key_separate_entries() {
         let dir = scratch("variants");
         let store = ResultStore::open(&dir).unwrap();
