@@ -291,8 +291,8 @@ impl ResultStore {
                 if wanted.is_empty() {
                     break;
                 }
-                // Only the index is read unless the batch holds a
-                // wanted point, and then only that point's record.
+                // The first read takes the header and index (a small
+                // batch whole); later reads fetch only wanted records.
                 let Some(mut batch) = self.open_batch(&path, &key) else {
                     continue;
                 };
