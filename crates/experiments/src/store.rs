@@ -1379,6 +1379,34 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_is_written_when_its_last_point_finishes() {
+        let dir = scratch("writer");
+        let store = ResultStore::open(&dir).unwrap();
+        let budget = Budget::Custom(5_000);
+        let mst: Vec<Scenario> = (1..=3)
+            .map(|fus| Scenario::paper("mst", fus, 12, budget))
+            .collect();
+        let gzip: Vec<Scenario> = (1..=2)
+            .map(|fus| Scenario::paper("gzip", fus, 12, budget))
+            .collect();
+        let all: Vec<&Scenario> = mst.iter().chain(&gzip).collect();
+        let writer = ShardWriter::new(&store, &all);
+        // A sweep cut short after the mst shard and half of gzip: the
+        // finished shard is on disk, the unfinished one not yet.
+        for s in mst.iter().chain(&gzip[..1]) {
+            writer.finish(s, Arc::new(sample_sim()));
+        }
+        assert_eq!(sim_files(&store).len(), 1);
+        let loaded = store.load_sims(&all);
+        assert_eq!(loaded.iter().filter(|r| r.is_some()).count(), 3);
+        writer.finish(&gzip[1], Arc::new(sample_sim()));
+        assert_eq!(sim_files(&store).len(), 2);
+        assert!(store.load_sims(&all).iter().all(|r| r.is_some()));
+        assert_eq!(store.writes(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn machine_variants_key_separate_entries() {
         let dir = scratch("variants");
         let store = ResultStore::open(&dir).unwrap();
