@@ -53,11 +53,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
-    /// One timing kernel per worker thread: every point the worker
-    /// simulates reuses the same scratch allocations through the
-    /// kernel's `reset()` path instead of rebuilding predictor and
-    /// cache heap structures per point. (`--jobs 1` runs everything on
-    /// the calling thread, so a whole `repro all` shares one kernel.)
+    /// One timing kernel per thread: every point a thread simulates
+    /// reuses the same scratch allocations through the kernel's
+    /// `reset()` path instead of rebuilding cache and ring structures
+    /// per point. `--jobs 1` runs everything on the calling thread, so
+    /// a whole `repro all` shares one kernel. At `--jobs` > 1 every
+    /// [`parallel_map`] call spawns fresh scoped workers, and each sizes
+    /// a fresh kernel on its first point: "a warm kernel performs no
+    /// scratch growths" holds per worker within one call. A persistent
+    /// pool was measured and is not faster (`DESIGN.md` §6).
     static WORKER_KERNEL: RefCell<TimingKernel> = RefCell::new(TimingKernel::new());
 }
 

@@ -118,12 +118,10 @@ struct FuRing {
     top: u64,
     mask: usize,
     buf: Vec<u16>,
-    /// `buf.len() / 64`: occupancy words per unit row.
-    words: usize,
-    /// Unit `f`'s row is `rows[f * words..][..words]`; bit `p & 63` of
-    /// word `p >> 6` mirrors bit `f` of `buf[p]`. Empty when stats are
-    /// not kept.
-    rows: Vec<u64>,
+    /// Occupancy words, one group of 16 per 64 ring positions: bit
+    /// `p & 63` of `rows[p >> 6][f]` mirrors bit `f` of `buf[p]`. Empty
+    /// when stats are not kept.
+    rows: Vec<[u64; 16]>,
     record_stats: bool,
     recorders: Vec<IdleCursor>,
     growths: u64,
@@ -139,13 +137,12 @@ impl FuRing {
             self.buf.fill(0);
         }
         self.mask = self.buf.len() - 1;
-        self.words = self.buf.len() / 64;
-        let row_words = if record_stats { units * self.words } else { 0 };
+        let row_words = if record_stats { self.buf.len() / 64 } else { 0 };
         if self.rows.len() < row_words {
-            self.rows.resize(row_words, 0);
+            self.rows.resize(row_words, [0; 16]);
             self.growths += 1;
         }
-        self.rows.fill(0);
+        self.rows.fill([0; 16]);
         self.units = units;
         self.full = if units == 16 {
             u16::MAX
@@ -185,8 +182,8 @@ impl FuRing {
             self.buf[pos..pos + n].fill(0);
             if self.record_stats {
                 let sel = (u64::MAX >> (64 - n)) << lo;
-                for (f, recorder) in self.recorders.iter_mut().enumerate() {
-                    let word = &mut self.rows[f * self.words + (pos >> 6)];
+                let group = &mut self.rows[pos >> 6];
+                for (word, recorder) in group.iter_mut().zip(&mut self.recorders) {
                     let mut bits = (*word & sel) >> lo;
                     *word &= !sel;
                     let mut at = cycle;
@@ -211,13 +208,12 @@ impl FuRing {
         let old_mask = self.mask;
         let mut next = vec![0u16; self.buf.len() * 2];
         let new_mask = next.len() - 1;
-        let words = next.len() / 64;
         let row_words = if self.record_stats {
-            self.units * words
+            next.len() / 64
         } else {
             0
         };
-        let mut rows = vec![0u64; row_words];
+        let mut rows = vec![[0u64; 16]; row_words];
         for cycle in self.base..self.top {
             let bits = self.buf[(cycle as usize) & old_mask];
             let pos = (cycle as usize) & new_mask;
@@ -227,14 +223,13 @@ impl FuRing {
                 while b != 0 {
                     let f = b.trailing_zeros() as usize;
                     b &= b - 1;
-                    rows[f * words + (pos >> 6)] |= 1 << (pos & 63);
+                    rows[pos >> 6][f] |= 1 << (pos & 63);
                 }
             }
         }
         self.buf = next;
         self.rows = rows;
         self.mask = new_mask;
-        self.words = words;
         self.growths += 1;
     }
 
@@ -243,8 +238,9 @@ impl FuRing {
     /// [`crate::resources::FuPool::allocate`]. `retire_limit` is the
     /// oldest cycle a *future* allocation could still target (the
     /// current dispatch frontier + 1); the ring retires up to it when
-    /// it needs room.
-    #[inline]
+    /// it needs room. Always inlined: out of line, the call and the
+    /// spilled ring fields cost about a fifth of a record's time.
+    #[inline(always)]
     fn allocate(&mut self, ready: u64, retire_limit: u64) -> u64 {
         debug_assert!(ready >= self.base);
         let mut cycle = ready;
@@ -271,7 +267,7 @@ impl FuRing {
                 };
                 *slot |= 1 << f;
                 if self.record_stats {
-                    self.rows[f * self.words + (pos >> 6)] |= 1 << (pos & 63);
+                    self.rows[pos >> 6][f] |= 1 << (pos & 63);
                 }
                 self.top = self.top.max(cycle + 1);
                 self.rr = if f + 1 == self.units { 0 } else { f + 1 };
@@ -348,6 +344,11 @@ impl FlatCache {
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
         let tag = line + 1;
+        // A hit in the most recently used way leaves the LRU order as
+        // it is, so it needs no rotation.
+        if slots[0] == tag {
+            return true;
+        }
         // Tags are unique within a set, so at most one way matches; a
         // miss behaves like a match in the last way (the LRU victim).
         // Finding the position and rotating it to the front with
@@ -462,6 +463,9 @@ impl FlatMemory {
 
     /// Performs a data access issued at `now`; returns the cycle the
     /// data is available (see [`crate::cache::DataMemory::access`]).
+    /// Inlined whole into the kernel's loop, miss half included; only
+    /// the fill-map pruning stays out of line.
+    #[inline(always)]
     fn access(&mut self, addr: u64, now: u64) -> u64 {
         self.maybe_prune(now);
         let start = now + self.tlb.translate(addr);
@@ -477,6 +481,15 @@ impl FlatMemory {
             }
             return base;
         }
+        self.l1_miss(addr, start)
+    }
+
+    /// The L1-miss half of [`FlatMemory::access`]: the L2, the MSHRs
+    /// and the fill maps, for an access that cleared the DTLB at
+    /// `start`.
+    #[inline(always)]
+    fn l1_miss(&mut self, addr: u64, start: u64) -> u64 {
+        let l1_line = addr >> self.l1.line_shift;
         let l2_line = addr >> self.l2.line_shift;
         let l2_hit = self.l2.access(addr);
         let after_l1 = start + self.l1_latency;
@@ -505,11 +518,18 @@ impl FlatMemory {
     /// Bounds the fill maps, same cadence as the direct path (dead
     /// entries can never satisfy a lookup, so dropping them is
     /// unobservable).
+    #[inline(always)]
     fn maybe_prune(&mut self, now: u64) {
         self.accesses_since_prune += 1;
-        if self.accesses_since_prune < (1 << 16) {
-            return;
+        if self.accesses_since_prune >= (1 << 16) {
+            self.prune(now);
         }
+    }
+
+    /// Drops every fill that completes at or before `now`.
+    #[cold]
+    #[inline(never)]
+    fn prune(&mut self, now: u64) {
         self.accesses_since_prune = 0;
         self.l1_fills.retain(|_, &mut r| r > now);
         self.l2_fills.retain(|_, &mut r| r > now);
@@ -711,53 +731,51 @@ impl TimingKernel {
             // dispatch frontier, so both occupancy rings may retire
             // cycles at or below it when they need room.
             let retire_limit = dispatch + 1;
-            let complete = match kind {
-                KIND_NOP => ready,
-                KIND_INT => {
-                    let issue = self.int_pool.allocate(ready, retire_limit);
-                    self.int_iq.record(issue);
-                    issue + 1
-                }
-                KIND_MUL => {
-                    let issue = self.int_pool.allocate(ready, retire_limit);
-                    self.int_iq.record(issue);
-                    issue + mul_latency
-                }
-                KIND_FP => {
-                    let issue = self.fp_pool.allocate(ready, retire_limit);
-                    self.fp_iq.record(issue);
-                    issue + fp_latency
-                }
-                KIND_LOAD => {
-                    let issue = self.int_pool.allocate(ready, retire_limit);
-                    self.int_iq.record(issue);
-                    let agen_done = issue + 1;
-                    let addr = mem_addrs[mem_cursor];
-                    mem_cursor += 1;
-                    let m = store_matches[load_cursor];
-                    load_cursor += 1;
-                    let forwarded = m != NO_STORE_MATCH && self.store_done[m as usize] >= agen_done;
-                    if forwarded {
-                        // Forward from the in-flight older store whose
-                        // data is not yet drained.
-                        self.store_done[m as usize] + 1
-                    } else {
-                        self.dmem.access(addr, agen_done)
+            let complete = if kind == KIND_NOP {
+                ready
+            } else {
+                // One allocation site for every kind: the ring step is
+                // inlined once into the loop body, on the pool the kind
+                // picks.
+                let (pool, iq) = if kind == KIND_FP {
+                    (&mut self.fp_pool, &mut self.fp_iq)
+                } else {
+                    (&mut self.int_pool, &mut self.int_iq)
+                };
+                let issue = pool.allocate(ready, retire_limit);
+                iq.record(issue);
+                match kind {
+                    KIND_INT => issue + 1,
+                    KIND_MUL => issue + mul_latency,
+                    KIND_FP => issue + fp_latency,
+                    KIND_LOAD => {
+                        let agen_done = issue + 1;
+                        let addr = mem_addrs[mem_cursor];
+                        mem_cursor += 1;
+                        let m = store_matches[load_cursor];
+                        load_cursor += 1;
+                        let forwarded =
+                            m != NO_STORE_MATCH && self.store_done[m as usize] >= agen_done;
+                        if forwarded {
+                            // Forward from the in-flight older store whose
+                            // data is not yet drained.
+                            self.store_done[m as usize] + 1
+                        } else {
+                            self.dmem.access(addr, agen_done)
+                        }
                     }
-                }
-                _ => {
-                    debug_assert_eq!(kind, KIND_STORE);
-                    let issue = self.int_pool.allocate(ready, retire_limit);
-                    self.int_iq.record(issue);
-                    let addr = mem_addrs[mem_cursor];
-                    mem_cursor += 1;
-                    let done = issue + 1;
-                    self.store_done[store_cursor] = done;
-                    store_cursor += 1;
-                    // Warm the cache and occupy an MSHR on a miss; the
-                    // store buffer hides the latency from commit.
-                    self.dmem.access(addr, done);
-                    done
+                    _ => {
+                        debug_assert_eq!(kind, KIND_STORE);
+                        let addr = mem_addrs[mem_cursor];
+                        mem_cursor += 1;
+                        let done = issue + 1;
+                        self.store_done[store_cursor] = done;
+                        store_cursor += 1;
+                        // Warm the cache and occupy an MSHR on a miss; the
+                        // store buffer hides the latency from commit.
+                        self.dmem.access(addr, done);
+                        done
+                    }
                 }
             };
 
@@ -939,33 +957,63 @@ mod tests {
         assert_eq!(fixed.constraint(), reference.constraint());
     }
 
-    #[test]
-    fn flat_cache_matches_reference_cache() {
-        use crate::cache::Cache;
-        let params = CacheParams {
-            size_bytes: 4 * 2 * 64,
-            ways: 2,
-            line_bytes: 64,
-            latency: 2,
-        };
-        let mut flat = FlatCache::default();
-        flat.reset_params(&params);
-        let mut reference = Cache::new(params);
-        // Deterministic pseudo-random address stream with reuse.
-        let mut x = 12345u64;
-        for _ in 0..4_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = (x >> 33) % 4096;
-            assert_eq!(flat.access(addr), reference.access(addr), "addr {addr}");
-        }
-        assert_eq!(flat.accesses, reference.accesses());
-        assert_eq!(flat.misses, reference.misses());
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// `FlatCache` makes the same hit-or-miss decision as
+        /// [`crate::cache::Cache`] on every access and ends with the same
+        /// access and miss counts, with one set, non-power-of-two set
+        /// counts (the modulo path) and power-of-two ones, over 1–16
+        /// ways. Streams lean on both ends of a set's LRU order: an
+        /// access repeats the previous address (a hit in the most
+        /// recently used way), walks `ways` lines of the previous
+        /// access's set (hits in the least recently used way once warm)
+        /// or `ways + 1` of them (a miss every time), or picks a line
+        /// at random from four times the capacity.
+        #[test]
+        fn flat_cache_matches_cache_on_every_access(
+            sets in proptest::prop_oneof![
+                proptest::strategy::Just(1u64),
+                1u64..=12,
+                proptest::strategy::Strategy::prop_map(0u32..=6, |k| 1u64 << k),
+            ],
+            ways in proptest::prop_oneof![1u64..=2, 1u64..=16],
+            line_bytes in proptest::prop_oneof![
+                proptest::strategy::Just(1u64),
+                proptest::strategy::Just(64u64),
+            ],
+            ops in proptest::collection::vec(0u64..1 << 24, 1..2_000),
+        ) {
+            use crate::cache::Cache;
+            let params = CacheParams {
+                size_bytes: sets * ways * line_bytes,
+                ways,
+                line_bytes,
+                latency: 1,
+            };
+            let mut flat = FlatCache::default();
+            flat.reset_params(&params);
+            let mut reference = Cache::new(params);
+            let (mut last, mut walk) = (0u64, 0u64);
+            for &op in &ops {
+                let arg = op >> 2;
+                let line = match op & 3 {
+                    0 => last,
+                    kind @ (1 | 2) => {
+                        walk += 1;
+                        let lines = ways + u64::from(kind == 2);
+                        last % sets + (walk % lines) * sets
+                    }
+                    _ => arg % (4 * sets * ways),
+                };
+                last = line;
+                let addr = line * line_bytes + arg % line_bytes;
+                let (got, want) = (flat.access(addr), reference.access(addr));
+                proptest::prop_assert!(got == want, "addr {}: flat {}, reference {}", addr, got, want);
+            }
+            proptest::prop_assert_eq!(flat.accesses, reference.accesses());
+            proptest::prop_assert_eq!(flat.misses, reference.misses());
+        }
 
         /// The ring allocates the same cycle as [`crate::resources::FuPool`]
         /// for every request and retires to the same per-unit spectra
