@@ -16,8 +16,9 @@
 //! * [`ResponseCache`] holds the rendered bodies in a size-bounded
 //!   in-memory LRU (logical-clock recency, no wallclock), with an
 //!   optional `resp/` namespace in the [`ResultStore`] as a
-//!   persistent second tier (versioned `FLKS` entries; stale or
-//!   corrupt entries are silent misses, never a crash).
+//!   persistent second tier (each body a one-record batch file keyed
+//!   by the full canonical key, like every other store entry; stale
+//!   or corrupt files are silent misses, never a crash).
 //!
 //! Entries store the full canonical key alongside the body and
 //! compare it on every lookup, so an FNV-1a address collision can

@@ -14,48 +14,49 @@
 //!
 //! ```text
 //! <root>/
-//!   sim/<shard>/<batch>             one batch of SimResults per file
-//!   ann/<fnv1a(key) as 16 hex>      one AnnotatedTrace per file
-//!   policy/<fnv1a(key) as 16 hex>   one PolicyRun per file
-//!   resp/<fnv1a(key) as 16 hex>     one rendered response per file
-//!   tmp/                            atomic-write staging
+//!   sim/<shard>/<batch>    one batch of SimResults per file
+//!   ann/<batch>            one AnnotatedTrace per file
+//!   policy/<batch>         one PolicyRun per file
+//!   resp/<batch>           one rendered response per file
+//!   tmp/                   atomic-write staging
 //! ```
+//!
+//! Every file is a batch: `magic "FLKB" | format version u32 | codec
+//! version u32 | batch key (length-prefixed) | record count u64 |
+//! (fingerprint, length, FNV-1a) u64 triples ascending by fingerprint
+//! | FNV-1a checksum u64 over that header`, then the records back to
+//! back. `<batch>` is the FNV-1a of the batch key plus its sorted
+//! fingerprints, as 16 hex digits.
 //!
 //! Simulation results are written a batch at a time: every point one
 //! [`ResultStore::save_sims`] call persists for the same `(bench,
 //! budget, front-end geometry)` shard goes into one immutable batch
-//! file, so a cold 32-point sweep creates one file, not 32. `<shard>`
-//! is the FNV-1a of the shard key and `<batch>` the FNV-1a of the
-//! shard key plus the batch's sorted fingerprints, each as 16 hex
-//! digits. A new batch absorbs the shard's smaller batches before it
-//! is written and deletes them after, so repeated sweeps of one
-//! geometry keep its shard at O(log n) files for n points. A read
-//! lists its shard once per call and opens batches until every wanted
-//! point is found. Plain files directly under `sim/` are per-point
-//! entries from an older layout; nothing reads them, and `repro store
-//! gc` reclaims them like any cold entry. Hit, miss and write counters
-//! count records (points), not files.
+//! file keyed by the shard key, with one record per machine
+//! fingerprint, so a cold 32-point sweep creates one file, not 32.
+//! `<shard>` is the FNV-1a of the shard key. A new batch absorbs the
+//! shard's smaller batches before it is written and deletes them
+//! after, so repeated sweeps of one geometry keep its shard at
+//! O(log n) files for n points. A read lists its shard once per call
+//! and opens batches until every wanted point is found. An
+//! annotation, policy run or response is a one-record batch keyed by
+//! the entry's full key, with fingerprint 0, directly under its kind's
+//! directory. Hit, miss and write counters count records, not files.
 //!
-//! Every other entry file is `magic "FLKS" | format version u32 |
-//! codec version u32 | key (length-prefixed) | payload
-//! (length-prefixed) | FNV-1a checksum u64 over everything before it`.
-//! A batch file is `magic "FLKB" | format version u32 | codec version
-//! u32 | shard key (length-prefixed) | record count u64 | (machine
-//! fingerprint, length, FNV-1a) u64 triples ascending by fingerprint |
-//! FNV-1a checksum u64 over that header`, then the records'
-//! `SimResult` encodings back to back. A reader takes the header and
-//! index in one bounded read and then reads only the records it
-//! wants, each checked against its own checksum, so a miss costs the
-//! shard's indexes, not its records. Reads verify magic, versions,
-//! key and checksums; *any* anomaly — short file, bad checksum,
-//! version skew, or a filename-hash collision caught by the stored
-//! key — is a miss for every point the file would have served, never
-//! a panic and never a wrong result; a file that fails them for any
-//! reason but version skew is deleted when first found. Writes go
-//! through a unique temp file plus `rename`, so readers only ever
-//! observe complete entries (a reader that lists a batch just before
-//! another writer absorbs and deletes it sees a miss for its points
-//! and re-simulates them).
+//! A reader takes the header and index in one bounded read and then
+//! reads only the records it wants, each checked against its own
+//! checksum, so a miss costs the shard's indexes, not its records.
+//! Reads verify magic, versions, key and checksums; *any* anomaly —
+//! short file, bad checksum, version skew, a record that does not
+//! decode, or a filename-hash collision caught by the stored key — is
+//! a miss for every record the file would have served, never a panic
+//! and never a wrong result; a file that fails them for any reason but
+//! version skew is deleted when first found. Files no reader opens —
+//! per-point sim files directly under `sim/` and per-key `FLKS`
+//! entries, both from older layouts — are reclaimed by `repro store
+//! gc` like any cold entry. Writes go through a unique temp file plus
+//! `rename`, so readers only ever observe complete files (a reader
+//! that lists a batch just before another writer absorbs and deletes
+//! it sees a miss for its points and re-simulates them).
 //! Eviction is size-budgeted LRU by access time over whole files
 //! ([`ResultStore::gc`]); read hits re-touch their entry's access
 //! time so hot entries survive, with mtime as the fallback ordering
@@ -76,18 +77,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Version of the store's *container* format (the entry header and
+/// Version of the store's *container* format (the batch header and
 /// directory layout). Orthogonal to [`CODEC_VERSION`], which names
-/// the payload encodings: either moving invalidates old entries.
-/// Version 2 moved simulation results into per-shard batch files.
+/// the record encodings: either moving invalidates old entries.
+/// Version 2 moved simulation results into per-shard batch files;
+/// the one-record batches of the other kinds share that layout.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Temp-file sequence numbers, shared by every store in the process so
 /// two stores opened on one root never stage into the same file.
 static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-/// The entry-file magic.
-const MAGIC: &[u8; 4] = b"FLKS";
 
 /// The result kinds the store persists, each in its own subdirectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,7 +370,7 @@ impl ResultStore {
                 absorbed.push(path);
             }
             let dir = self.shard_dir(&key);
-            let path = dir.join(batch_name(&key, &records));
+            let path = dir.join(batch_name(&key, records.keys().copied()));
             let bytes = encode_batch(FORMAT_VERSION, CODEC_VERSION, &key, &records);
             if fs::create_dir_all(&dir).is_ok() && self.write_file(&path, &bytes) {
                 self.writes.fetch_add(written, Ordering::Relaxed);
@@ -390,10 +389,10 @@ impl ResultStore {
         budget: Budget,
         geometry: u64,
     ) -> Option<AnnotatedTrace> {
-        self.load_value(
-            StoreKind::Annotation,
-            &annotation_key(bench, budget, geometry),
-        )
+        let key = annotation_key(bench, budget, geometry);
+        self.load_one(StoreKind::Annotation, &key, |b| {
+            AnnotatedTrace::from_bytes(&b).ok()
+        })
     }
 
     /// Persists an annotated trace (best-effort).
@@ -404,89 +403,86 @@ impl ResultStore {
         geometry: u64,
         ann: &AnnotatedTrace,
     ) {
-        self.save(
-            StoreKind::Annotation,
-            &annotation_key(bench, budget, geometry),
-            &ann.to_bytes(),
-        );
+        let key = annotation_key(bench, budget, geometry);
+        self.save_one(StoreKind::Annotation, &key, ann.to_bytes());
     }
 
     /// The cached [`PolicyRun`] for `(scenario, policy form, energy
     /// model)`, if present and valid.
     pub fn load_policy(&self, s: &Scenario, form: PolicyForm, model_fp: u64) -> Option<PolicyRun> {
-        self.load_value(StoreKind::Policy, &policy_key(s, form, model_fp))
+        let key = policy_key(s, form, model_fp);
+        self.load_one(StoreKind::Policy, &key, |b| PolicyRun::from_bytes(&b).ok())
     }
 
     /// Persists a policy evaluation (best-effort).
     pub fn save_policy(&self, s: &Scenario, form: PolicyForm, model_fp: u64, run: PolicyRun) {
-        self.save(
-            StoreKind::Policy,
-            &policy_key(s, form, model_fp),
-            &run.to_bytes(),
-        );
+        let key = policy_key(s, form, model_fp);
+        self.save_one(StoreKind::Policy, &key, run.to_bytes());
     }
 
     /// The cached rendered response bytes for a canonical request
     /// key (see [`crate::respcache`]), if present and valid. The
-    /// payload is the exact body the renderer produced — no decode
-    /// step, so "valid" is the container's checksum/version/key
-    /// verification alone; stale or corrupt entries are silent
-    /// misses, never a crash.
+    /// record is the exact body the renderer produced, so "valid" is
+    /// the container's version, key and checksum checks alone.
     pub fn load_response(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.load(StoreKind::Response, key)
+        self.load_one(StoreKind::Response, key, Some)
     }
 
     /// Persists rendered response bytes under a canonical request key
     /// (best-effort).
     pub fn save_response(&self, key: &[u8], body: &[u8]) {
-        self.save(StoreKind::Response, key, body);
+        self.save_one(StoreKind::Response, key, body.to_vec());
     }
 
-    /// Loads and decodes one typed entry; decode failures count as
-    /// corruption-misses like any other rejected entry.
-    fn load_value<T: Codec>(&self, kind: StoreKind, key: &[u8]) -> Option<T> {
-        let payload = self.load(kind, key)?;
-        match T::from_bytes(&payload) {
-            Ok(v) => Some(v),
-            Err(_) => {
-                // The container checksum passed but the payload does
-                // not decode — a codec/invariant mismatch the version
-                // header failed to catch. Demote the hit to a miss.
-                self.hits[kind.idx()].fetch_sub(1, Ordering::Relaxed);
-                self.misses[kind.idx()].fetch_add(1, Ordering::Relaxed);
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                None
+    /// Reads the one record of a key-addressed entry, counting one hit
+    /// or miss. A record that fails its checksum, or passes it and
+    /// still fails `decode`, condemns its file, as in
+    /// [`ResultStore::load_sims`].
+    fn load_one<T>(
+        &self,
+        kind: StoreKind,
+        key: &[u8],
+        decode: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Option<T> {
+        let path = self.one_path(kind, key);
+        let value = self.open_batch(&path, key).and_then(|mut batch| {
+            let value = matches!(batch.index[..], [(0, ..)])
+                .then(|| batch.record(0))
+                .flatten()
+                .and_then(decode);
+            match value {
+                Some(_) => self.touch(&path),
+                None => self.reject(&path),
             }
-        }
-    }
-
-    /// Loads one raw payload, verifying magic, versions, key, and
-    /// checksum. Any anomaly is a miss.
-    fn load(&self, kind: StoreKind, key: &[u8]) -> Option<Vec<u8>> {
-        let path = self.entry_path(kind, key);
-        let payload = self.read_entry(&path, key);
-        if payload.is_some() {
-            self.hits[kind.idx()].fetch_add(1, Ordering::Relaxed);
-            self.touch(&path);
+            value
+        });
+        let counter = if value.is_some() {
+            &self.hits
         } else {
-            self.misses[kind.idx()].fetch_add(1, Ordering::Relaxed);
-        }
-        payload
+            &self.misses
+        };
+        counter[kind.idx()].fetch_add(1, Ordering::Relaxed);
+        value
     }
 
-    /// Writes one entry, counting one write on success.
-    fn save(&self, kind: StoreKind, key: &[u8], payload: &[u8]) {
-        if self.write_entry(&self.entry_path(kind, key), key, payload) {
+    /// Writes a key-addressed entry as a one-record batch (record
+    /// fingerprint 0), counting one write on success.
+    fn save_one(&self, kind: StoreKind, key: &[u8], record: Vec<u8>) {
+        let bytes = encode_batch(
+            FORMAT_VERSION,
+            CODEC_VERSION,
+            key,
+            &BTreeMap::from([(0, record)]),
+        );
+        if self.write_file(&self.one_path(kind, key), &bytes) {
             self.writes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Writes one entry file.
-    fn write_entry(&self, path: &Path, key: &[u8], payload: &[u8]) -> bool {
-        self.write_file(
-            path,
-            &encode_entry(FORMAT_VERSION, CODEC_VERSION, key, payload),
-        )
+    /// The file of a key-addressed entry: `<kind>/<batch name>`, with
+    /// no shard directory.
+    fn one_path(&self, kind: StoreKind, key: &[u8]) -> PathBuf {
+        self.root.join(kind.dir()).join(batch_name(key, [0]))
     }
 
     /// Writes one file atomically: unique temp file, then `rename`.
@@ -527,23 +523,6 @@ impl ResultStore {
         files.into_iter().map(|(len, path)| (path, len)).collect()
     }
 
-    /// Reads and validates one entry file against `key`, returning its
-    /// payload. Structural damage counts as corruption and deletes the
-    /// file; version skew and a missing file do neither.
-    fn read_entry(&self, path: &Path, key: &[u8]) -> Option<Vec<u8>> {
-        let bytes = fs::read(path).ok()?;
-        match parse_entry(&bytes, key) {
-            EntryParse::Valid(payload) => Some(payload),
-            // A well-formed entry from another format/codec version:
-            // expected after an upgrade, not corruption.
-            EntryParse::Stale => None,
-            EntryParse::Corrupt => {
-                self.reject(path);
-                None
-            }
-        }
-    }
-
     /// Counts a structurally damaged entry file and deletes it: no
     /// version of the store can read it, and deleting it means it is
     /// read and counted once rather than on every later miss. Writes
@@ -565,13 +544,6 @@ impl ResultStore {
                 None
             }
         }
-    }
-
-    /// The entry file a key addresses.
-    fn entry_path(&self, kind: StoreKind, key: &[u8]) -> PathBuf {
-        self.root
-            .join(kind.dir())
-            .join(format!("{:016x}", fnv1a(key)))
     }
 
     /// Re-touches an entry's access time on a read hit, so LRU
@@ -763,12 +735,12 @@ fn shards<'a>(points: impl Iterator<Item = &'a Scenario>) -> BTreeMap<Vec<u8>, V
     out
 }
 
-/// A batch file's name: the FNV-1a of the shard key and every
+/// A batch file's name: the FNV-1a of the batch key and every
 /// fingerprint in the batch, as 16 hex digits. The same batch always
 /// gets the same name.
-fn batch_name(key: &[u8], records: &BTreeMap<u64, Vec<u8>>) -> String {
+fn batch_name(key: &[u8], fingerprints: impl IntoIterator<Item = u64>) -> String {
     let mut content = key.to_vec();
-    for &fingerprint in records.keys() {
+    for fingerprint in fingerprints {
         put_u64(&mut content, fingerprint);
     }
     format!("{:016x}", fnv1a(&content))
@@ -785,15 +757,8 @@ const BATCH_HEAD: u64 = 64 * 1024;
 /// codec version u32 | key (length-prefixed) | record count u64 |
 /// (fingerprint u64, length u64, FNV-1a u64) per record, ascending by
 /// fingerprint | FNV-1a u64 over everything before it`, then the
-/// records' [`SimResult`] encodings back to back in index order.
-/// Exposed within the crate so tests can craft batches under *other*
-/// versions.
-pub(crate) fn encode_batch(
-    format: u32,
-    codec: u32,
-    key: &[u8],
-    records: &BTreeMap<u64, Vec<u8>>,
-) -> Vec<u8> {
+/// records back to back in index order.
+fn encode_batch(format: u32, codec: u32, key: &[u8], records: &BTreeMap<u64, Vec<u8>>) -> Vec<u8> {
     let mut out = Vec::with_capacity(batch_len(key, records) as usize);
     out.extend_from_slice(BATCH_MAGIC);
     put_u32(&mut out, format);
@@ -954,74 +919,6 @@ fn form_key(form: PolicyForm) -> (u8, u64, u64) {
     }
 }
 
-/// Serializes one entry file. Exposed within the crate so tests can
-/// craft entries under *other* versions and prove they read as
-/// misses.
-pub(crate) fn encode_entry(format: u32, codec: u32, key: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 8 + 16 + key.len() + payload.len() + 8);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, format);
-    put_u32(&mut out, codec);
-    put_bytes(&mut out, key);
-    put_bytes(&mut out, payload);
-    let checksum = fnv1a(&out);
-    put_u64(&mut out, checksum);
-    out
-}
-
-/// Outcome of validating one entry file against an expected key.
-enum EntryParse {
-    /// Checks passed; the payload bytes.
-    Valid(Vec<u8>),
-    /// Well-formed but written by another format/codec version.
-    Stale,
-    /// Structurally invalid (short, bad magic/checksum, wrong key).
-    Corrupt,
-}
-
-/// Validates one entry file body against `key` (see the [module
-/// docs](self) for the layout).
-fn parse_entry(bytes: &[u8], key: &[u8]) -> EntryParse {
-    let Some(body_len) = bytes.len().checked_sub(8) else {
-        return EntryParse::Corrupt;
-    };
-    let (body, tail) = bytes.split_at(body_len);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum"));
-    if fnv1a(body) != stored {
-        return EntryParse::Corrupt;
-    }
-    let mut r = ByteReader::new(body);
-    let Ok(magic) = r.bytes(MAGIC.len()) else {
-        return EntryParse::Corrupt;
-    };
-    if magic != MAGIC {
-        return EntryParse::Corrupt;
-    }
-    let (Ok(format), Ok(codec)) = (r.u32(), r.u32()) else {
-        return EntryParse::Corrupt;
-    };
-    if format != FORMAT_VERSION || codec != CODEC_VERSION {
-        return EntryParse::Stale;
-    }
-    let stored_key = match r.len(1).and_then(|n| r.bytes(n)) {
-        Ok(k) => k,
-        Err(_) => return EntryParse::Corrupt,
-    };
-    if stored_key != key {
-        // A filename-hash collision: the entry belongs to some other
-        // key. Treat as absent rather than returning a wrong payload.
-        return EntryParse::Corrupt;
-    }
-    let payload = match r.len(1).and_then(|n| r.bytes(n)) {
-        Ok(p) => p.to_vec(),
-        Err(_) => return EntryParse::Corrupt,
-    };
-    if !r.is_empty() {
-        return EntryParse::Corrupt;
-    }
-    EntryParse::Valid(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1086,6 +983,123 @@ mod tests {
             .collect()
     }
 
+    fn sample_ann() -> AnnotatedTrace {
+        let mut ann = AnnotatedTrace::with_capacity(1);
+        ann.push_meta(fuleak_workloads::annotated::KIND_INT);
+        ann.set_totals(0, 0, 0, 0);
+        ann
+    }
+
+    /// Damages the saved entry of `key` every way a file can be
+    /// damaged, checking each time that `hit` (a load of that entry)
+    /// misses. Damage counts once as corruption and deletes the file;
+    /// version skew counts nothing and leaves it for `gc`. Each load
+    /// counts one hit or one miss.
+    fn assert_damage_misses(
+        store: &ResultStore,
+        kind: StoreKind,
+        key: &[u8],
+        record: Vec<u8>,
+        hit: impl Fn() -> bool,
+    ) {
+        let path = store.one_path(kind, key);
+        let one = BTreeMap::from([(0, record)]);
+        let pristine = encode_batch(FORMAT_VERSION, CODEC_VERSION, key, &one);
+        assert_eq!(fs::read(&path).unwrap(), pristine, "a one-record batch");
+        let (hits, misses) = (store.hits_for(kind), store.misses_for(kind));
+        let check = |bytes: &[u8], damaged: bool, what: &str| {
+            fs::write(&path, bytes).unwrap();
+            let corrupt = store.corrupt();
+            assert!(!hit(), "{what} must miss");
+            assert_eq!(store.corrupt() - corrupt, usize::from(damaged), "{what}");
+            assert_eq!(path.exists(), !damaged, "{what}");
+        };
+        for i in 0..pristine.len() {
+            let mut bent = pristine.clone();
+            bent[i] ^= 0x40;
+            // Bytes 4..12 are the format and codec versions: a flip
+            // there reads as an entry of another version.
+            check(&bent, !(4..12).contains(&i), &format!("flip at {i}"));
+            check(&pristine[..i], true, &format!("truncation to {i}"));
+        }
+        for (format, codec) in [
+            (FORMAT_VERSION + 1, CODEC_VERSION),
+            (FORMAT_VERSION, CODEC_VERSION + 1),
+        ] {
+            let skewed = encode_batch(format, codec, key, &one);
+            check(&skewed, false, &format!("version {format}/{codec}"));
+        }
+        // A filename-hash collision: the right name, another key.
+        let other = [key, b"!"].concat();
+        let collision = encode_batch(FORMAT_VERSION, CODEC_VERSION, &other, &one);
+        check(&collision, true, "a wrong stored key");
+        fs::write(&path, &pristine).unwrap();
+        assert!(hit(), "the pristine entry hits again");
+        assert_eq!(store.hits_for(kind) - hits, 1);
+        assert_eq!(store.misses_for(kind) - misses, 2 * pristine.len() + 3);
+    }
+
+    #[test]
+    fn key_addressed_entries_share_the_batch_damage_path() {
+        let dir = scratch("one-record");
+        let store = ResultStore::open(&dir).unwrap();
+        let budget = Budget::Custom(5_000);
+        let ann = sample_ann();
+        store.save_annotation("mst", budget, 42, &ann);
+        let load = || store.load_annotation("mst", budget, 42);
+        let key = annotation_key("mst", budget, 42);
+        assert_damage_misses(&store, StoreKind::Annotation, &key, ann.to_bytes(), || {
+            load().is_some()
+        });
+        assert_eq!(load(), Some(ann));
+
+        // A record that passes its checksum and does not decode
+        // condemns its file like any other damage.
+        let garbage = BTreeMap::from([(0, vec![0xff; 16])]);
+        let path = store.one_path(StoreKind::Annotation, &key);
+        fs::write(
+            &path,
+            encode_batch(FORMAT_VERSION, CODEC_VERSION, &key, &garbage),
+        )
+        .unwrap();
+        let corrupt = store.corrupt();
+        assert_eq!(load(), None);
+        assert_eq!(store.corrupt(), corrupt + 1);
+        assert!(!path.exists());
+
+        let key = b"\x04route".to_vec();
+        let body = b"{\"rows\": []}\n".to_vec();
+        store.save_response(&key, &body);
+        assert_damage_misses(&store, StoreKind::Response, &key, body.clone(), || {
+            store.load_response(&key).is_some()
+        });
+        assert_eq!(store.load_response(&key), Some(body));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_legacy_entry_file_is_a_silent_miss_that_gc_reclaims() {
+        let dir = scratch("legacy");
+        let store = ResultStore::open(&dir).unwrap();
+        let budget = Budget::Custom(5_000);
+        // An entry of the older one-file-per-key container, at its
+        // old name: nothing opens it.
+        let key = annotation_key("mst", budget, 42);
+        let legacy = dir.join("ann").join(format!("{:016x}", fnv1a(&key)));
+        fs::write(
+            &legacy,
+            [b"FLKS".as_slice(), &sample_ann().to_bytes()].concat(),
+        )
+        .unwrap();
+        assert_eq!(store.load_annotation("mst", budget, 42), None);
+        assert_eq!(store.corrupt(), 0, "an unread file is not corrupt");
+        assert!(legacy.exists());
+        assert_eq!(store.stats().kinds[1].entries, 1);
+        assert_eq!(store.gc(0).evicted, 1);
+        assert!(!legacy.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn round_trips_each_kind() {
         let dir = scratch("roundtrip");
@@ -1096,9 +1110,7 @@ mod tests {
         save_batch(&store, &[&s]);
         assert_eq!(store.load_sim(&s), Some(sample_sim()));
 
-        let mut ann = AnnotatedTrace::with_capacity(1);
-        ann.push_meta(fuleak_workloads::annotated::KIND_INT);
-        ann.set_totals(0, 0, 0, 0);
+        let ann = sample_ann();
         store.save_annotation("mst", Budget::Custom(5_000), 42, &ann);
         assert_eq!(
             store.load_annotation("mst", Budget::Custom(5_000), 42),
@@ -1117,9 +1129,13 @@ mod tests {
         assert_eq!(store.load_policy(&s, PolicyForm::MaxSleep, 9), Some(run));
         assert_eq!(store.load_policy(&s, PolicyForm::AlwaysActive, 9), None);
 
-        assert_eq!(store.writes(), 3);
-        assert_eq!(store.hits(), 3);
-        assert_eq!(store.misses(), 3, "one pre-save probe per kind");
+        assert_eq!(store.load_response(b"\x04route"), None);
+        store.save_response(b"\x04route", b"{}\n");
+        assert_eq!(store.load_response(b"\x04route"), Some(b"{}\n".to_vec()));
+
+        assert_eq!(store.writes(), 4);
+        assert_eq!(store.hits(), 4);
+        assert_eq!(store.misses(), 4, "one pre-save probe per kind");
         assert_eq!(store.corrupt(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1453,7 +1469,7 @@ mod tests {
         for s in &scenarios[..2] {
             let path = store
                 .shard_dir(&shard_key(s))
-                .join(batch_name(&shard_key(s), &one_record(s)));
+                .join(batch_name(&shard_key(s), one_record(s).keys().copied()));
             assert!(files.contains(&path));
             let f = fs::File::options().append(true).open(path).unwrap();
             f.set_times(fs::FileTimes::new().set_accessed(past).set_modified(past))

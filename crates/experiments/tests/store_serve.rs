@@ -84,18 +84,18 @@ fn warm_store_sweep_runs_zero_simulations() {
 }
 
 /// Every file under `dir`, recursively.
-fn files_under(dir: &std::path::Path) -> usize {
-    std::fs::read_dir(dir).map_or(0, |entries| {
+fn paths_under(dir: &std::path::Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir).map_or(Vec::new(), |entries| {
         entries
             .flatten()
-            .map(|e| {
+            .flat_map(|e| {
                 if e.file_type().is_ok_and(|t| t.is_dir()) {
-                    files_under(&e.path())
+                    paths_under(&e.path())
                 } else {
-                    1
+                    vec![e.path()]
                 }
             })
-            .sum()
+            .collect()
     })
 }
 
@@ -114,9 +114,19 @@ fn a_cold_sweep_writes_one_batch_file_per_geometry() {
         .axis_rob([64, 128])
         .axis_width([2, 4]);
     assert_eq!(engine.run_sweep(&spec), 32);
-    assert_eq!(files_under(&dir.root.join("sim")), 1);
-    assert_eq!(files_under(&dir.root.join("ann")), 1);
+    assert_eq!(paths_under(&dir.root.join("sim")).len(), 1);
+    assert_eq!(paths_under(&dir.root.join("ann")).len(), 1);
     assert_eq!(engine.stats().disk_writes, 33, "32 points and 1 annotation");
+    // One container: every stored file is a batch.
+    let staging = dir.root.join("tmp");
+    for path in paths_under(&dir.root) {
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(
+            path.starts_with(&staging) || bytes.starts_with(b"FLKB"),
+            "{} is not a batch",
+            path.display()
+        );
+    }
 
     // A warm engine reads all 32 points back from the one file.
     let warm = Engine::new(2);
@@ -149,7 +159,7 @@ fn repeated_sweeps_of_one_geometry_keep_its_shard_small() {
     for spec in &sweeps {
         assert_eq!(engine.run_sweep(spec), 4);
         batches += 1;
-        assert!(files_under(&sim) as u32 <= 1 + batches.ilog2());
+        assert!(paths_under(&sim).len() as u32 <= 1 + batches.ilog2());
     }
     let singles: Vec<Scenario> = (0..8)
         .map(|i| Scenario::paper("mcf", 3, 100 + i, budget))
@@ -157,9 +167,9 @@ fn repeated_sweeps_of_one_geometry_keep_its_shard_small() {
     for s in &singles {
         engine.result(s.clone());
         batches += 1;
-        assert!(files_under(&sim) as u32 <= 1 + batches.ilog2());
+        assert!(paths_under(&sim).len() as u32 <= 1 + batches.ilog2());
     }
-    assert_eq!(files_under(&dir.root.join("ann")), 1);
+    assert_eq!(paths_under(&dir.root.join("ann")).len(), 1);
 
     let warm = Engine::new(2);
     let store = dir.open();

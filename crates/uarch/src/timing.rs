@@ -1009,7 +1009,7 @@ mod tests {
                 last = line;
                 let addr = line * line_bytes + arg % line_bytes;
                 let (got, want) = (flat.access(addr), reference.access(addr));
-                proptest::prop_assert!(got == want, "addr {}: flat {}, reference {}", addr, got, want);
+                proptest::prop_assert_eq!(got, want, "addr {}", addr);
             }
             proptest::prop_assert_eq!(flat.accesses, reference.accesses());
             proptest::prop_assert_eq!(flat.misses, reference.misses());
