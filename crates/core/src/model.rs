@@ -71,7 +71,14 @@ impl NormalizedEnergy {
 
     /// Total energy in units of `E_D`.
     pub fn total(&self) -> f64 {
-        self.dynamic + self.leak_hi + self.leak_lo + self.transition + self.overhead
+        self.total_before_overhead() + self.overhead
+    }
+
+    /// The left-associated partial sum [`NormalizedEnergy::total`]
+    /// adds `overhead` to last, so `total_before_overhead() + overhead`
+    /// is `total()` bit for bit.
+    pub fn total_before_overhead(&self) -> f64 {
+        self.dynamic + self.leak_hi + self.leak_lo + self.transition
     }
 
     /// Static (leakage) energy only. Following the paper's Figure 9b

@@ -1700,8 +1700,10 @@ impl GridEval {
 
 /// Assembles the run of technology item `(p_i, E_slp_j)` from two runs
 /// of the **same** [`PolicyForm`] priced against the same spectra: one
-/// at `(p_i, E_slp_0)` (the leak row) and one at `(p_0, E_slp_j)` (the
-/// transition row), with `k`, `d` and `α` equal in all three models.
+/// at `p_i` and any sleep overhead (the leak row) and one at `E_slp_j`
+/// and any leakage factor (the transition row), with `k`, `d` and `α`
+/// equal in all three models. One run at `(p_i, E_slp_i)` can serve
+/// as leak row `i` and transition row `i` at once.
 ///
 /// Exact, not approximate: every evaluator above builds each field
 /// from a seed and a chain of `+=`s that read only the model constants

@@ -19,7 +19,9 @@
 //!
 //! The axis-assembly properties pin the explorer's field-dependence
 //! rule: a run at `(p_i, E_slp_j)` is the run at `(p_i, E_slp_0)` with
-//! `energy.overhead` taken from the run at `(p_0, E_slp_j)`.
+//! `energy.overhead` taken from the run at `(p_0, E_slp_j)`, for any
+//! `E_slp_0` and `p_0`; and the explorer's closed-form fold over those
+//! two runs prices the point's energy and `E/E_max` bit for bit.
 
 use fuleak_core::accounting::PolicyRun;
 use fuleak_core::policy_eval::{
@@ -294,6 +296,62 @@ proptest! {
             let got = assemble_axis_run(&totals[k], &totals[n + k]);
             prop_assert_eq!(bits(&got), bits(&totals[2 * n + k]));
             prop_assert_eq!(bits(&got), bits(&scalar[k]));
+        }
+    }
+
+    /// The explorer's closed-form fold: a model-free point `(p_i,
+    /// E_slp_j)` is one add and one divide over two runs — the leak
+    /// row, priced at `p_i` and any sleep overhead, and the transition
+    /// row, priced at `E_slp_j` and any leakage factor. Its energy
+    /// `total_before_overhead() + overhead` is the assembled run's
+    /// `total()`, and that over the leak model's `E_max` is the
+    /// assembled run's `normalized_to_max` against the item's own
+    /// model, bit for bit.
+    #[test]
+    fn closed_form_fold_equals_the_assembled_run(
+        fus in proptest::collection::vec(workload(), 1..4),
+        p_i in knob(),
+        e_any in knob(),
+        p_any in knob(),
+        e_j in knob(),
+        alpha in 0.05f64..=0.95,
+        picks in proptest::collection::vec(0usize..1000, 1..12),
+    ) {
+        let (leak_model, trans_model, direct) = (
+            model_at(p_i, e_any, alpha),
+            model_at(p_any, e_j, alpha),
+            model_at(p_i, e_j, alpha),
+        );
+        let pool: Vec<PolicyForm> = form_pool(&direct)
+            .into_iter()
+            .filter(|form| {
+                matches!(
+                    form,
+                    PolicyForm::AlwaysActive
+                        | PolicyForm::MaxSleep
+                        | PolicyForm::NoOverhead
+                        | PolicyForm::GradualSleep { .. }
+                )
+            })
+            .collect();
+        let forms: Vec<PolicyForm> = picks.iter().map(|&ix| pool[ix % pool.len()]).collect();
+        let n = forms.len();
+        let mut grid = GridEval::new_batch(&[(&leak_model, &forms), (&trans_model, &forms)]);
+        let mut totals = vec![PolicyRun::default(); 2 * n];
+        for (intervals, active) in &fus {
+            let spectrum = IntervalSpectrum::from_lengths(intervals);
+            for (total, run) in totals.iter_mut().zip(grid.run(*active, &spectrum)) {
+                *total += *run;
+            }
+        }
+        for k in 0..n {
+            let (leak, trans) = (&totals[k], &totals[n + k]);
+            let energy = leak.energy.total_before_overhead() + trans.energy.overhead;
+            let e_max = leak_model.max_energy(leak.total_cycles());
+            let ratio = if e_max == 0.0 { 0.0 } else { energy / e_max };
+            let assembled = assemble_axis_run(leak, trans);
+            prop_assert_eq!(energy.to_bits(), assembled.energy.total().to_bits());
+            prop_assert_eq!(ratio.to_bits(), assembled.normalized_to_max(&direct).to_bits());
         }
     }
 }

@@ -11,23 +11,7 @@
 //! materialized row list is gigabytes.
 //!
 //! This module prices the grid with [`GridEval`] — G policy forms per
-//! spectrum traversal — in two phases, and streams three digests
-//! instead of rows:
-//!
-//! 1. **axis rows** — a model-free form (AlwaysActive, MaxSleep,
-//!    NoOverhead, GradualSleep with explicit slices) prices every
-//!    field of its run from one knob: `energy.overhead` from the
-//!    transition cost, everything else from the leakage factor (or
-//!    from neither). Each benchmark prices those forms once per
-//!    leakage value and once per transition value, and every grid
-//!    item's run is assembled field by field
-//!    ([`assemble_axis_run`]) — lane deduplication, bit-identical to
-//!    pricing the item;
-//! 2. **grid items** — TimeoutSleep and AdaptiveSleep take their
-//!    parameters from each item's breakeven interval, so they are
-//!    priced per item, through the same kernel.
-//!
-//! The digests:
+//! spectrum traversal — and streams three digests instead of rows:
 //!
 //! * **optima** — the best `E/E_max` cell per benchmark × policy
 //!   family;
@@ -38,17 +22,32 @@
 //!   count with the lowest mean `E/E_max` (the Figure 9 crossover
 //!   question asked over the whole grid).
 //!
-//! Work is sharded over [`parallel_map`] in **fixed-size chunks of
-//! the canonical item order** (benchmark-major, then leakage, then
-//! transition cost), independent of the worker count: every chunk
-//! folds its items into an accumulator sequentially, and the main
-//! thread merges chunk accumulators in chunk order — so output is
-//! byte-identical for any `--jobs N`. Memory is `O(frontier)` plus
-//! the axis rows, `O(benchmarks × (leaks + transitions) × forms)`, all
-//! dropped when the call returns; the
-//! [`crate::policy::PolicyCache`] is deliberately bypassed
-//! (compute is cheaper than memoization at this density; the cache
-//! stays for the sweep path).
+//! A model-free form (AlwaysActive, MaxSleep, NoOverhead, GradualSleep
+//! with explicit slices) prices `energy.overhead` from the transition
+//! cost and every other field from the leakage factor or from neither
+//! ([`fuleak_core::policy_eval::assemble_axis_run`]). So each benchmark
+//! prices those forms on `max(n_leak, n_trans)` diagonal axis rows —
+//! row `r` at `(leak_r, trans_r)`, each index clamped to its axis, is
+//! leak row `r` and transition row `r` — and the fold prices point
+//! `(i, j)` in closed form with one add and one divide. TimeoutSleep
+//! and AdaptiveSleep take their parameters from each item's breakeven
+//! interval, so they are priced per item. Both kinds of task share one
+//! [`parallel_map`] queue, axis rows first.
+//!
+//! Items are sharded in **fixed-size chunks of the canonical item
+//! order** (benchmark-major, then leakage, then transition cost),
+//! independent of the worker count, and chunk folds merge in chunk
+//! order. The optima and the frontier break exact ties by canonical
+//! grid position, so they do not depend on the order points arrive
+//! in; the crossover sums keep a fixed association (per-chunk
+//! partials, merged in chunk order). Output is byte-identical for any
+//! `--jobs N`. Memory is the axis rows, `O(benchmarks × max(leaks,
+//! transitions) × forms)`, plus one fold per chunk until the merge
+//! (optima slots, a chunk-local frontier, the sums of the leak rows it
+//! touches), all dropped when the call returns; the
+//! [`crate::policy::PolicyCache`] is
+//! deliberately bypassed (compute is cheaper than memoization at this
+//! density; the cache stays for the sweep path).
 
 use crate::harness::{run_benchmark_on, BenchRun, Budget};
 use crate::policy::{PolicyKind, EVAL_ALPHA};
@@ -56,10 +55,11 @@ use crate::result::{Cell, ResultTable};
 use crate::scenario::{parallel_map, Engine, SweepSpec, FU_CANDIDATES};
 use fuleak_core::accounting::PolicyRun;
 use fuleak_core::fxhash::FxHashSet;
-use fuleak_core::policy_eval::{assemble_axis_run, GridEval, PolicyForm};
+use fuleak_core::policy_eval::{GridEval, PolicyForm};
 use fuleak_core::tech::{DEFAULT_DUTY_CYCLE, DEFAULT_LEAK_RATIO};
 use fuleak_core::{EnergyModel, TechnologyParams};
 use fuleak_workloads::Benchmark;
+use std::ops::Range;
 
 /// The L2 hit latency the explorer simulates its substrate at — the
 /// paper's default (Table 2), matching the Figure 8/9 suite.
@@ -307,26 +307,29 @@ struct GridPoint {
     combo_i: usize,
 }
 
-/// Optimum tracker: strictly-smaller `E/E_max` replaces, so ties keep
-/// the earliest point in canonical grid order.
-fn fold_best(best: &mut Option<GridPoint>, p: GridPoint, energy: &mut f64, e: f64) {
-    match best {
-        Some(b) if p.ratio >= b.ratio => {}
-        _ => {
-            *best = Some(p);
-            *energy = e;
-        }
+impl GridPoint {
+    /// The place in canonical grid order within the benchmark: every
+    /// digest breaks exact ties by it, so no fold depends on arrival order.
+    fn pos(&self) -> (usize, usize, usize) {
+        (self.leak_i, self.trans_i, self.combo_i)
+    }
+}
+
+/// Optimum tracker: the smaller `E/E_max` wins, ties going to the
+/// point earlier in canonical grid order.
+fn fold_best(best: &mut Option<(GridPoint, f64)>, p: GridPoint, energy: f64) {
+    if best.is_none_or(|(b, _)| (p.ratio, p.pos()) < (b.ratio, b.pos())) {
+        *best = Some((p, energy));
     }
 }
 
 /// Inserts `p` into a Pareto frontier kept sorted by `ratio`
 /// ascending with `trans` strictly descending. Weak dominance: `p` is
-/// rejected if an earlier-inserted point is at least as good on both
-/// axes (so canonical-order insertion keeps the earliest of ties),
-/// and `p` evicts every point it weakly dominates. Chunk-local
-/// pre-filtering is exact — dominance is transitive, so a point
-/// evicted within its chunk is also evicted by the full canonical
-/// scan.
+/// rejected if a kept point is at least as good on both axes (of
+/// exact duplicates, the one earlier in canonical grid order stays),
+/// and `p` evicts every point it weakly dominates. The result is the
+/// same for any insertion order, so pre-filtering any subset of the
+/// points (a chunk, one form's points in a leak row) is exact.
 fn frontier_insert(frontier: &mut Vec<GridPoint>, p: GridPoint) {
     let lo = frontier.partition_point(|q| q.ratio < p.ratio);
     // Dominated if any cheaper-or-equal-energy point is at least as
@@ -338,7 +341,7 @@ fn frontier_insert(frontier: &mut Vec<GridPoint>, p: GridPoint) {
     }
     if frontier
         .get(lo)
-        .is_some_and(|q| q.ratio == p.ratio && q.trans <= p.trans)
+        .is_some_and(|q| q.ratio == p.ratio && (q.trans, q.pos()) <= (p.trans, p.pos()))
     {
         return;
     }
@@ -346,16 +349,73 @@ fn frontier_insert(frontier: &mut Vec<GridPoint>, p: GridPoint) {
     frontier.splice(lo..keep_to, [p]);
 }
 
-/// One chunk's fold: per-`(bench, family)` optima, per-bench frontier
-/// survivors, partial `E/E_max` sums per `(leak, gradual slice)`
-/// cell, and the grid-kernel work counters.
-struct ChunkFold {
-    best: Vec<Option<GridPoint>>,
-    best_energy: Vec<f64>,
+/// A fold of grid points: per-`(bench, family)` optima with their
+/// `E/E_D`, per-bench frontiers, and `E/E_max` sums per `(leak,
+/// gradual slice)` cell. A chunk's fold holds the sums of the leak
+/// rows it touches (`sum_rows`, in first-touch order); the merged fold
+/// holds every leak row's, in leak order.
+#[derive(Debug)]
+struct Fold {
+    families: usize,
+    best: Vec<Option<(GridPoint, f64)>>,
     frontiers: Vec<Vec<GridPoint>>,
+    sum_rows: Vec<usize>,
     sums: Vec<f64>,
-    batches: usize,
-    points: u64,
+}
+
+impl Fold {
+    fn new(benches: usize, families: usize) -> Self {
+        Fold {
+            families,
+            best: vec![None; benches * families],
+            frontiers: vec![Vec::new(); benches],
+            sum_rows: Vec::new(),
+            sums: Vec::new(),
+        }
+    }
+
+    /// Folds one point of benchmark `bench_i` and family `family` into
+    /// the optima and the frontier.
+    fn point(&mut self, bench_i: usize, family: usize, p: GridPoint, energy: f64) {
+        fold_best(&mut self.best[bench_i * self.families + family], p, energy);
+        frontier_insert(&mut self.frontiers[bench_i], p);
+    }
+
+    /// The offset of leak row `leak_i`'s `width` sums, added zeroed on
+    /// first touch.
+    fn sum_row(&mut self, leak_i: usize, width: usize) -> usize {
+        let row = match self.sum_rows.iter().position(|&l| l == leak_i) {
+            Some(row) => row,
+            None => {
+                self.sum_rows.push(leak_i);
+                self.sums.resize(self.sums.len() + width, 0.0);
+                self.sum_rows.len() - 1
+            }
+        };
+        row * width
+    }
+
+    /// Merges the next chunk's fold. Its sums add to the touched cells
+    /// only: every sum is non-negative, so adding a chunk's `+0.0` to
+    /// an untouched cell would change no bit.
+    fn merge(&mut self, chunk: Fold, width: usize) {
+        for (slot, best) in chunk.best.into_iter().enumerate() {
+            if let Some((p, energy)) = best {
+                fold_best(&mut self.best[slot], p, energy);
+            }
+        }
+        for (frontier, chunk_frontier) in self.frontiers.iter_mut().zip(chunk.frontiers) {
+            for p in chunk_frontier {
+                frontier_insert(frontier, p);
+            }
+        }
+        for (row, &leak_i) in chunk.sum_rows.iter().enumerate() {
+            let cells = &mut self.sums[leak_i * width..][..width];
+            for (cell, s) in cells.iter_mut().zip(&chunk.sums[row * width..]) {
+                *cell += s;
+            }
+        }
+    }
 }
 
 /// The three streamed digests of one exploration, plus the priced
@@ -372,13 +432,68 @@ pub struct ExploreResult {
     pub points: u64,
 }
 
-/// Where a combo's total comes from for a grid item.
+/// A spec's [`ExploreSpec::form_combos`] with their family and
+/// GradualSleep-slice projections, for the optima rows and the
+/// crossover sums.
+struct Combos {
+    list: Vec<(PolicyKind, Option<u32>)>,
+    families: Vec<PolicyKind>,
+    family: Vec<usize>,
+    gradual_slices: Vec<u32>,
+    gradual: Vec<Option<usize>>,
+}
+
+impl Combos {
+    fn new(spec: &ExploreSpec) -> Self {
+        let list = spec.form_combos();
+        let (mut families, mut family) = (Vec::new(), Vec::new());
+        let (mut gradual_slices, mut gradual) = (Vec::new(), Vec::new());
+        for &(kind, slices) in &list {
+            family.push(index_of(&mut families, kind));
+            gradual.push(slices.map(|s| index_of(&mut gradual_slices, s)));
+        }
+        Combos {
+            list,
+            families,
+            family,
+            gradual_slices,
+            gradual,
+        }
+    }
+}
+
+/// The index of `v` in `values`, appended if new.
+fn index_of<T: Copy + PartialEq>(values: &mut Vec<T>, v: T) -> usize {
+    values.iter().position(|&x| x == v).unwrap_or_else(|| {
+        values.push(v);
+        values.len() - 1
+    })
+}
+
+/// The closed-form terms of one model-free form on one axis row: as
+/// leak row, `energy.total_before_overhead()`, `E_max` (it reads the
+/// model only through `active_cycle()`, so only `p`) and transition
+/// equivalents; as transition row, `energy.overhead`.
 #[derive(Debug, Clone, Copy)]
-enum ComboSrc {
-    /// Model-free form `a`: assembled from the item's axis rows.
-    Axis(usize),
-    /// Model-dependent form `k`: priced per item.
-    Item(usize),
+struct AxisTerms {
+    part: f64,
+    e_max: f64,
+    teq: f64,
+    overhead: f64,
+}
+
+/// A task of the pricing pass: one benchmark's axis rows (model-free
+/// forms), or one chunk of grid items (per-item forms).
+enum Unit {
+    Rows(usize, Range<usize>),
+    Items(Range<usize>),
+}
+
+/// A pricing task's yield: the rows' terms, form-minor, or the
+/// chunk's per-item points, folded.
+enum Priced {
+    Rows(Vec<AxisTerms>),
+    Items(Fold),
 }
 
 /// Prices one group of technology items against one benchmark's FU
@@ -421,13 +536,11 @@ fn model_at(leak: f64, transition: f64) -> EnergyModel {
 
 /// Runs one exploration: simulates the substrate (each benchmark at
 /// its paper-selected FU count, through the engine's caches as
-/// usual), then prices the grid with [`GridEval`] — the model-free
-/// forms once per axis value, the breakeven-derived forms per
-/// technology item, one spectrum traversal per FU per kernel group,
-/// no [`crate::policy::PolicyCache`] traffic — and folds the three
-/// digests. Output is byte-identical for any engine worker count;
-/// grid counters land in [`crate::scenario::EngineStats`]: the points
-/// of the full product, and the traversals that actually ran.
+/// usual), then prices and folds the grid (`fold_grid`) with no
+/// [`crate::policy::PolicyCache`] traffic. Output is byte-identical
+/// for any engine worker count; grid counters land in
+/// [`crate::scenario::EngineStats`]: the points of the full product,
+/// and the traversals that actually ran.
 pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     // Substrate: fan the FU-candidate points out across workers, then
     // apply the selection rule per benchmark from the warm cache.
@@ -444,228 +557,209 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
             run_benchmark_on(engine, bench, EXPLORE_L2, spec.budget)
         })
         .collect();
+    let combos = Combos::new(spec);
+    let (fold, batches) = fold_grid(engine.jobs(), spec, &runs, &combos);
+    engine.note_grid(batches, spec.points());
+    render(spec, &runs, &combos, &fold)
+}
 
-    let combos = spec.form_combos();
-    // Family and gradual-slice projections of the combo list, for the
-    // optima rows and the crossover sums.
-    let mut families: Vec<PolicyKind> = Vec::new();
-    let mut combo_family = Vec::with_capacity(combos.len());
-    let mut gradual_slices: Vec<u32> = Vec::new();
-    let mut combo_gradual = Vec::with_capacity(combos.len());
-    for &(policy, slices) in &combos {
-        let f = families
-            .iter()
-            .position(|&k| k == policy)
-            .unwrap_or_else(|| {
-                families.push(policy);
-                families.len() - 1
-            });
-        combo_family.push(f);
-        combo_gradual.push(slices.map(|s| {
-            gradual_slices
-                .iter()
-                .position(|&g| g == s)
-                .unwrap_or_else(|| {
-                    gradual_slices.push(s);
-                    gradual_slices.len() - 1
-                })
-        }));
-    }
-
-    // Where each combo's per-item total comes from: a model-free form
-    // prices separably over the technology axes, so its total is
-    // assembled from the benchmark's axis rows; the rest are priced
-    // per item.
-    let (mut axis_forms, mut item_combos) = (Vec::new(), Vec::new());
+/// Prices the grid of `spec` over the benchmarks' `runs` on `jobs`
+/// workers in one [`GridEval`] pass (the model-free forms once per
+/// diagonal axis row, the others per item, one spectrum traversal per
+/// FU per kernel group) and folds it, the model-free points in closed
+/// form. Returns the merged fold and the traversal count.
+fn fold_grid(jobs: usize, spec: &ExploreSpec, runs: &[BenchRun], combos: &Combos) -> (Fold, usize) {
+    // A model-free combo prices separably over the technology axes,
+    // so it is priced on the axis rows; the rest are priced per item.
+    let (mut axis_forms, mut axis_combos, mut item_combos) = (Vec::new(), Vec::new(), Vec::new());
     let corner = model_at(spec.leaks[0], spec.transitions[0]);
-    let combo_src: Vec<ComboSrc> = combos
-        .iter()
-        .enumerate()
-        .map(|(combo_i, &(kind, slices))| {
-            if kind.model_free(slices) {
-                axis_forms.push(kind.form(&corner, slices));
-                ComboSrc::Axis(axis_forms.len() - 1)
-            } else {
-                item_combos.push(combo_i);
-                ComboSrc::Item(item_combos.len() - 1)
-            }
-        })
-        .collect();
-    let (n_axis, n_item) = (axis_forms.len(), item_combos.len());
-
-    // Phase 1, the axis rows: per benchmark, the model-free forms at
-    // the cross items — leak row `i` at `(leak_i, trans_0)`, then
-    // transition row `n_leak + j` at `(leak_0, trans_j)` — in chunks
-    // of `CHUNK_ITEMS` rows. Lanes are independent, so the rows depend
-    // on neither the partition nor the worker count.
-    let (n_leak, n_trans) = (spec.leaks.len(), spec.transitions.len());
-    let n_cross = n_leak + n_trans;
-    let cross_model = |r: usize| match r.checked_sub(n_leak) {
-        Some(j) => model_at(spec.leaks[0], spec.transitions[j]),
-        None => model_at(spec.leaks[r], spec.transitions[0]),
-    };
-    let units: Vec<(usize, usize, usize)> = if n_axis == 0 {
-        Vec::new()
-    } else {
-        (0..runs.len())
-            .flat_map(|bench_i| {
-                (0..n_cross)
-                    .step_by(CHUNK_ITEMS)
-                    .map(move |r| (bench_i, r, (r + CHUNK_ITEMS).min(n_cross)))
-            })
-            .collect()
-    };
-    let axis_parts = parallel_map(engine.jobs(), units, |(bench_i, start, end)| {
-        let mut grid: Option<GridEval> = None;
-        let mut totals: Vec<PolicyRun> = Vec::new();
-        let mut rows = Vec::with_capacity((end - start) * n_axis);
-        let mut batches = 0;
-        for g in (start..end).step_by(GridEval::PREFERRED_BATCH) {
-            let g_end = end.min(g + GridEval::PREFERRED_BATCH);
-            let models: Vec<EnergyModel> = (g..g_end).map(cross_model).collect();
-            let batch: Vec<(&EnergyModel, &[PolicyForm])> = models
-                .iter()
-                .map(|model| (model, axis_forms.as_slice()))
-                .collect();
-            batches += price_group(&mut grid, &runs[bench_i], &batch, &mut totals);
-            rows.extend_from_slice(&totals);
+    for (combo_i, &(kind, slices)) in combos.list.iter().enumerate() {
+        if kind.model_free(slices) {
+            axis_forms.push(kind.form(&corner, slices));
+            axis_combos.push(combo_i);
+        } else {
+            item_combos.push(combo_i);
         }
-        (rows, batches)
-    });
-    let mut axis_rows: Vec<PolicyRun> = Vec::with_capacity(runs.len() * n_cross * n_axis);
-    let mut batches = 0;
-    for (rows, unit_batches) in axis_parts {
-        axis_rows.extend(rows);
-        batches += unit_batches;
     }
-    let axis_row =
-        |bench_i: usize, r: usize| &axis_rows[(bench_i * n_cross + r) * n_axis..][..n_axis];
+    let (n_axis, n_item) = (axis_forms.len(), item_combos.len());
+    let (leaks, trans) = (&spec.leaks, &spec.transitions);
+    let (n_leak, n_trans) = (leaks.len(), trans.len());
+    let (per_bench, n_items) = (n_leak * n_trans, spec.items());
+    let width = combos.gradual_slices.len();
+    let new_fold = || Fold::new(runs.len(), combos.families.len());
 
-    // Phase 2, the grid items, in fixed chunks of the canonical order.
-    let n_items = spec.items();
-    let chunks: Vec<(usize, usize)> = (0..n_items)
+    // The diagonal axis rows: row `r` at `(leak_r, trans_r)`, each
+    // index clamped to its axis, so row `i` is leak row `i` and
+    // transition row `i` at once (`assemble_axis_run`).
+    let n_rows = n_leak.max(n_trans);
+    let row_model = |r: usize| model_at(leaks[r.min(n_leak - 1)], trans[r.min(n_trans - 1)]);
+    let item_model = |it: usize| model_at(leaks[it / n_trans % n_leak], trans[it % n_trans]);
+    let chunks: Vec<Range<usize>> = (0..n_items)
         .step_by(CHUNK_ITEMS)
-        .map(|start| (start, (start + CHUNK_ITEMS).min(n_items)))
+        .map(|start| start..(start + CHUNK_ITEMS).min(n_items))
         .collect();
 
-    let folds = parallel_map(engine.jobs(), chunks, |(start, end)| {
-        let mut fold = ChunkFold {
-            best: vec![None; runs.len() * families.len()],
-            best_energy: vec![0.0; runs.len() * families.len()],
-            frontiers: vec![Vec::new(); runs.len()],
-            sums: vec![0.0; n_leak * gradual_slices.len()],
-            batches: 0,
-            points: 0,
-        };
-        let mut models: Vec<EnergyModel> = Vec::with_capacity(GridEval::PREFERRED_BATCH);
-        let mut forms_buf: Vec<Vec<PolicyForm>> = Vec::new();
-        let mut totals: Vec<PolicyRun> = Vec::new();
-        // One kernel per chunk for the per-item forms, re-targeted per
-        // GROUP of up to `PREFERRED_BATCH` consecutive same-benchmark
-        // items (they share spectra, so one traversal prices the whole
-        // group). Group segmentation depends only on item indices, so
-        // shard boundaries never move with the worker count.
+    // One pricing queue: every benchmark's axis rows in runs of
+    // `CHUNK_ITEMS`, then the fixed chunks of the canonical item order
+    // (benchmark-major, then leakage, then transition cost). Each
+    // task renews one warm kernel per group of up to `PREFERRED_BATCH`
+    // consecutive same-benchmark rows or items, so no boundary moves
+    // with the worker count.
+    let mut units = Vec::new();
+    if n_axis > 0 {
+        for bench_i in 0..runs.len() {
+            for r in (0..n_rows).step_by(CHUNK_ITEMS) {
+                units.push(Unit::Rows(bench_i, r..(r + CHUNK_ITEMS).min(n_rows)));
+            }
+        }
+    }
+    if n_item > 0 {
+        units.extend(chunks.iter().cloned().map(Unit::Items));
+    }
+    let priced = parallel_map(jobs, units, |unit| {
         let mut grid: Option<GridEval> = None;
-        let mut item = start;
-        while item < end {
-            let bench_i = item / (n_leak * n_trans);
-            let bench_end = (bench_i + 1) * (n_leak * n_trans);
-            let g_end = end.min(bench_end).min(item + GridEval::PREFERRED_BATCH);
-            models.clear();
-            for it in item..g_end {
-                let leak_i = it / n_trans % n_leak;
-                let trans_i = it % n_trans;
-                models.push(model_at(spec.leaks[leak_i], spec.transitions[trans_i]));
-            }
-            if n_item > 0 {
-                while forms_buf.len() < models.len() {
-                    forms_buf.push(Vec::with_capacity(n_item));
+        let mut totals: Vec<PolicyRun> = Vec::new();
+        let mut models: Vec<EnergyModel> = Vec::with_capacity(GridEval::PREFERRED_BATCH);
+        let mut batches = 0;
+        match unit {
+            Unit::Rows(bench_i, rows) => {
+                let mut terms = Vec::with_capacity(rows.len() * n_axis);
+                for g in rows.clone().step_by(GridEval::PREFERRED_BATCH) {
+                    models.clear();
+                    models.extend((g..rows.end.min(g + GridEval::PREFERRED_BATCH)).map(row_model));
+                    let batch: Vec<_> = models
+                        .iter()
+                        .map(|model| (model, &axis_forms[..]))
+                        .collect();
+                    batches += price_group(&mut grid, &runs[bench_i], &batch, &mut totals);
+                    for (model, row) in models.iter().zip(totals.chunks(n_axis)) {
+                        terms.extend(row.iter().map(|run| AxisTerms {
+                            part: run.energy.total_before_overhead(),
+                            e_max: model.max_energy(run.total_cycles()),
+                            teq: run.transitions_equiv,
+                            overhead: run.energy.overhead,
+                        }));
+                    }
                 }
-                for (model, forms) in models.iter().zip(forms_buf.iter_mut()) {
+                (Priced::Rows(terms), batches)
+            }
+            Unit::Items(items) => {
+                let mut fold = new_fold();
+                let mut forms: Vec<PolicyForm> = Vec::new();
+                let mut item = items.start;
+                while item < items.end {
+                    let bench_i = item / per_bench;
+                    let g_end = items
+                        .end
+                        .min((bench_i + 1) * per_bench)
+                        .min(item + GridEval::PREFERRED_BATCH);
+                    models.clear();
+                    models.extend((item..g_end).map(item_model));
                     forms.clear();
-                    forms.extend(item_combos.iter().map(|&c| {
-                        let (kind, slices) = combos[c];
-                        kind.form(model, slices)
-                    }));
+                    for model in &models {
+                        forms.extend(item_combos.iter().map(|&c| {
+                            let (kind, slices) = combos.list[c];
+                            kind.form(model, slices)
+                        }));
+                    }
+                    let batch: Vec<_> = models.iter().zip(forms.chunks(n_item)).collect();
+                    batches += price_group(&mut grid, &runs[bench_i], &batch, &mut totals);
+                    for ((it, model), row) in (item..g_end).zip(&models).zip(totals.chunks(n_item))
+                    {
+                        for (run, &combo_i) in row.iter().zip(&item_combos) {
+                            let p = GridPoint {
+                                ratio: run.normalized_to_max(model),
+                                trans: run.transitions_equiv,
+                                leak_i: it / n_trans % n_leak,
+                                trans_i: it % n_trans,
+                                combo_i,
+                            };
+                            fold.point(bench_i, combos.family[combo_i], p, run.energy.total());
+                        }
+                    }
+                    item = g_end;
                 }
-                let batch: Vec<(&EnergyModel, &[PolicyForm])> = models
-                    .iter()
-                    .zip(forms_buf.iter())
-                    .map(|(model, forms)| (model, forms.as_slice()))
-                    .collect();
-                fold.batches += price_group(&mut grid, &runs[bench_i], &batch, &mut totals);
+                (Priced::Items(fold), batches)
             }
-            for (g_i, it) in (item..g_end).enumerate() {
-                let leak_i = it / n_trans % n_leak;
-                let trans_i = it % n_trans;
-                let model = &models[g_i];
-                let leak_row = axis_row(bench_i, leak_i);
-                let trans_row = axis_row(bench_i, n_leak + trans_i);
-                let item_totals = &totals[g_i * n_item..(g_i + 1) * n_item];
-                fold.points += combos.len() as u64;
-                for (combo_i, src) in combo_src.iter().enumerate() {
-                    let total = match *src {
-                        ComboSrc::Axis(a) => assemble_axis_run(&leak_row[a], &trans_row[a]),
-                        ComboSrc::Item(k) => item_totals[k],
+        }
+    });
+    // The optima and the frontier do not depend on merge order, and
+    // item folds carry no crossover sums, so they merge at once.
+    let mut total = new_fold();
+    total.sums = vec![0.0; n_leak * width];
+    let (mut batches, mut terms) = (0, Vec::new());
+    for (unit, unit_batches) in priced {
+        batches += unit_batches;
+        match unit {
+            Priced::Rows(rows) => terms.extend(rows),
+            Priced::Items(fold) => total.merge(fold, width),
+        }
+    }
+
+    // The fold, over the same chunks. A model-free point `(i, j)` is
+    // `E = part_i + overhead_j` and `E/E_max = E / e_max_i`, the
+    // operations of `assemble_axis_run(..).normalized_to_max(..)`. In a
+    // chunk's segment of one leak row every point of a form shares
+    // `teq`, so only the form's first minimum can join the optima or
+    // the frontier; every point adds to the crossover sums, in order.
+    let axis_chunks = if n_axis > 0 { chunks } else { Vec::new() };
+    let folds = parallel_map(jobs, axis_chunks, |items| {
+        let mut fold = new_fold();
+        let mut firsts: Vec<Option<(f64, usize, f64)>> = Vec::with_capacity(n_axis);
+        let mut item = items.start;
+        while item < items.end {
+            let (bench_i, leak_i, j0) = (item / per_bench, item / n_trans % n_leak, item % n_trans);
+            let segment = j0..n_trans.min(j0 + items.end - item);
+            let sums_at = fold.sum_row(leak_i, width);
+            let row = |r: usize| &terms[(bench_i * n_rows + r) * n_axis..][..n_axis];
+            firsts.clear();
+            firsts.resize(n_axis, None);
+            for trans_i in segment.clone() {
+                for (a, (leak, t)) in row(leak_i).iter().zip(row(trans_i)).enumerate() {
+                    // `E/E_max` as `PolicyRun::normalized_to_max` computes it.
+                    let energy = leak.part + t.overhead;
+                    let ratio = if leak.e_max == 0.0 {
+                        0.0
+                    } else {
+                        energy / leak.e_max
                     };
-                    let p = GridPoint {
-                        ratio: total.normalized_to_max(model),
-                        trans: total.transitions_equiv,
-                        leak_i,
-                        trans_i,
-                        combo_i,
-                    };
-                    let slot = bench_i * families.len() + combo_family[combo_i];
-                    fold_best(
-                        &mut fold.best[slot],
-                        p,
-                        &mut fold.best_energy[slot],
-                        total.energy.total(),
-                    );
-                    frontier_insert(&mut fold.frontiers[bench_i], p);
-                    if let Some(g) = combo_gradual[combo_i] {
-                        fold.sums[leak_i * gradual_slices.len() + g] += p.ratio;
+                    if firsts[a].is_none_or(|(r, ..)| ratio < r) {
+                        firsts[a] = Some((ratio, trans_i, energy));
+                    }
+                    if let Some(g) = combos.gradual[axis_combos[a]] {
+                        fold.sums[sums_at + g] += ratio;
                     }
                 }
             }
-            item = g_end;
+            for ((leak, &combo_i), first) in row(leak_i).iter().zip(&axis_combos).zip(&firsts) {
+                let (ratio, trans_i, energy) = first.expect("a segment holds at least one item");
+                let p = GridPoint {
+                    ratio,
+                    trans: leak.teq,
+                    leak_i,
+                    trans_i,
+                    combo_i,
+                };
+                fold.point(bench_i, combos.family[combo_i], p, energy);
+            }
+            item += segment.len();
         }
         fold
     });
 
     // Merge in chunk order: chunk composition is jobs-independent, so
-    // every fold below — including the floating-point crossover sums —
-    // reproduces the sequential scan exactly.
-    let mut best: Vec<Option<GridPoint>> = vec![None; runs.len() * families.len()];
-    let mut best_energy = vec![0.0; runs.len() * families.len()];
-    let mut frontiers: Vec<Vec<GridPoint>> = vec![Vec::new(); runs.len()];
-    let mut sums = vec![0.0; n_leak * gradual_slices.len()];
-    let mut points = 0u64;
+    // the floating-point crossover sums reproduce the sequential scan
+    // exactly.
     for fold in folds {
-        for (slot, p) in fold.best.into_iter().enumerate() {
-            if let Some(p) = p {
-                fold_best(
-                    &mut best[slot],
-                    p,
-                    &mut best_energy[slot],
-                    fold.best_energy[slot],
-                );
-            }
-        }
-        for (bench_i, chunk_frontier) in fold.frontiers.into_iter().enumerate() {
-            for p in chunk_frontier {
-                frontier_insert(&mut frontiers[bench_i], p);
-            }
-        }
-        for (cell, s) in sums.iter_mut().zip(&fold.sums) {
-            *cell += s;
-        }
-        batches += fold.batches;
-        points += fold.points;
+        total.merge(fold, width);
     }
-    engine.note_grid(batches, points);
+    (total, batches)
+}
 
-    let slices_cell = |combo_i: usize| match combos[combo_i].1 {
+/// Renders a merged fold as the three digest tables.
+fn render(spec: &ExploreSpec, runs: &[BenchRun], combos: &Combos, fold: &Fold) -> ExploreResult {
+    let points = spec.points();
+    let slices_cell = |combo_i: usize| match combos.list[combo_i].1 {
         Some(s) => Cell::int(i64::from(s)),
         None => Cell::str("-"),
     };
@@ -682,9 +776,10 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
         ],
     );
     for (bench_i, run) in runs.iter().enumerate() {
-        for (family_i, family) in families.iter().enumerate() {
-            let slot = bench_i * families.len() + family_i;
-            let Some(p) = best[slot] else { continue };
+        for (family_i, family) in combos.families.iter().enumerate() {
+            let Some((p, energy)) = fold.best[bench_i * combos.families.len() + family_i] else {
+                continue;
+            };
             optima.row([
                 Cell::str(run.name),
                 Cell::int(run.fus as i64),
@@ -692,7 +787,7 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
                 slices_cell(p.combo_i),
                 Cell::shortest(spec.leaks[p.leak_i]),
                 Cell::shortest(spec.transitions[p.trans_i]),
-                Cell::float(best_energy[slot], 1),
+                Cell::float(energy, 1),
                 Cell::float(p.ratio, 4),
                 Cell::float(p.trans, 1),
             ]);
@@ -717,10 +812,10 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
          a grid containing a leak-free corner collapses toward it.",
     );
     for (bench_i, run) in runs.iter().enumerate() {
-        for p in &frontiers[bench_i] {
+        for p in &fold.frontiers[bench_i] {
             frontier.row([
                 Cell::str(run.name),
-                Cell::str(combos[p.combo_i].0.name()),
+                Cell::str(combos.list[p.combo_i].0.name()),
                 slices_cell(p.combo_i),
                 Cell::shortest(spec.leaks[p.leak_i]),
                 Cell::shortest(spec.transitions[p.trans_i]),
@@ -737,11 +832,12 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
     );
     // Mean over the benchmarks × transition costs behind each
     // (leak, slices) cell; ties take the smaller slice count.
-    let cell_points = (runs.len() * n_trans) as f64;
+    let cell_points = (runs.len() * spec.transitions.len()) as f64;
+    let width = combos.gradual_slices.len();
     for (leak_i, &leak) in spec.leaks.iter().enumerate() {
         let mut winner: Option<(u32, f64)> = None;
-        for (g, &s) in gradual_slices.iter().enumerate() {
-            let sum = sums[leak_i * gradual_slices.len() + g];
+        for (g, &s) in combos.gradual_slices.iter().enumerate() {
+            let sum = fold.sums[leak_i * width + g];
             winner = match winner {
                 Some((ws, wsum)) if wsum < sum || (wsum == sum && ws < s) => Some((ws, wsum)),
                 _ => Some((s, sum)),
@@ -768,7 +864,6 @@ pub fn explore(engine: &Engine, spec: &ExploreSpec) -> ExploreResult {
 mod tests {
     use super::*;
     use crate::policy::policy_energy_of;
-    use crate::result::Value;
 
     #[test]
     fn default_grid_prices_over_a_million_points() {
@@ -847,24 +942,79 @@ mod tests {
         frontier_insert(&mut f, p(0.3, 4.0));
         assert_eq!(f.len(), 1);
         assert!((f[0].ratio, f[0].trans) == (0.3, 4.0));
-        // ...and an exact duplicate keeps the earlier insertion.
-        let mut g = vec![GridPoint {
-            combo_i: 7,
+        // ...and of exact duplicates the one earlier in canonical grid
+        // order stays, whichever is inserted first.
+        let dup = |combo_i| GridPoint {
+            combo_i,
             ..p(0.5, 10.0)
-        }];
-        frontier_insert(&mut g, p(0.5, 10.0));
-        assert_eq!(g.len(), 1);
-        assert_eq!(g[0].combo_i, 7);
+        };
+        for order in [[7, 2], [2, 7]] {
+            let mut g = Vec::new();
+            for combo_i in order {
+                frontier_insert(&mut g, dup(combo_i));
+            }
+            assert_eq!(g.len(), 1);
+            assert_eq!(g[0].combo_i, 2);
+        }
     }
 
-    /// Tiny grids, explored end-to-end: every optimum — its grid
-    /// point, `E/E_D`, `E/E_max` and transitions, by bit pattern —
-    /// agrees with a brute-force scalar scan over the same canonical
-    /// order, the traversal count is the axis groups plus the per-item
-    /// groups, and the whole output is byte-identical across worker
-    /// counts. The grids mix axis-priced and per-item families, put 0
-    /// and 1 on the knobs, and include one-value axes; no axis starts
-    /// at its optimum, so a row taken from the wrong axis value shows.
+    /// The reference fold: every point priced alone by
+    /// `policy_energy_of` and folded in canonical grid order — optima by
+    /// strictly smaller `E/E_max`, the frontier by insertion, and the
+    /// crossover sums over every leak row of each `CHUNK_ITEMS`-item
+    /// chunk, merged in chunk order.
+    fn scalar_scan(spec: &ExploreSpec, runs: &[BenchRun], combos: &Combos) -> Fold {
+        let (n_leak, n_trans) = (spec.leaks.len(), spec.transitions.len());
+        let (families, width) = (combos.families.len(), combos.gradual_slices.len());
+        let mut total = Fold::new(runs.len(), families);
+        total.sums = vec![0.0; n_leak * width];
+        let mut chunk = Fold::new(runs.len(), families);
+        for item in 0..spec.items() {
+            if item % CHUNK_ITEMS == 0 {
+                total.merge(
+                    std::mem::replace(&mut chunk, Fold::new(runs.len(), families)),
+                    width,
+                );
+                for leak_i in 0..n_leak {
+                    chunk.sum_row(leak_i, width);
+                }
+            }
+            let bench_i = item / (n_leak * n_trans);
+            let (leak_i, trans_i) = (item / n_trans % n_leak, item % n_trans);
+            let model = model_at(spec.leaks[leak_i], spec.transitions[trans_i]);
+            for (combo_i, &(kind, slices)) in combos.list.iter().enumerate() {
+                let run = policy_energy_of(&model, kind.form(&model, slices), &runs[bench_i].sim);
+                let p = GridPoint {
+                    ratio: run.normalized_to_max(&model),
+                    trans: run.transitions_equiv,
+                    leak_i,
+                    trans_i,
+                    combo_i,
+                };
+                let best = &mut total.best[bench_i * families + combos.family[combo_i]];
+                if best.is_none_or(|(b, _)| p.ratio < b.ratio) {
+                    *best = Some((p, run.energy.total()));
+                }
+                frontier_insert(&mut total.frontiers[bench_i], p);
+                if let Some(g) = combos.gradual[combo_i] {
+                    chunk.sums[leak_i * width + g] += p.ratio;
+                }
+            }
+        }
+        total.merge(chunk, width);
+        total
+    }
+
+    /// Small grids, explored end-to-end: all three digests — every
+    /// float by bit pattern, through the JSON view — equal the
+    /// brute-force [`scalar_scan`]; the traversal count is the
+    /// diagonal axis-row groups plus the per-item groups, exactly; and
+    /// the whole output is byte-identical across worker counts. The
+    /// grids mix axis-priced and per-item families, put 0 and 1 on the
+    /// knobs, include one-value axes, duplicated axis values (exact
+    /// ties, so the earliest point must win) and a grid of several
+    /// chunks that split leak rows; no axis starts at its optimum, so a
+    /// row taken from the wrong axis value shows.
     #[test]
     fn explore_matches_scalar_scan_and_is_jobs_invariant() {
         let base = ExploreSpec::new(Budget::Custom(5_000))
@@ -883,82 +1033,62 @@ mod tests {
                 .transitions([0.2, 0.01, 1.0]),
             base.clone().leaks([0.3]).transitions([0.2, 0.0]),
             base.clone().leaks([1.0, 0.0, 0.3]).transitions([0.1]),
+            base.clone().leaks([0.3, 0.3]).transitions([0.1, 0.0, 0.1]),
+            base.clone()
+                .policies([PolicyKind::GradualSleep, PolicyKind::TimeoutSleep])
+                .leaks(fraction_steps(0.45, 1.0, 0.05))
+                .transitions([0.3, 0.1, 0.0, 0.1, 0.5, 0.05]),
             base.policies([PolicyKind::GradualSleep, PolicyKind::AlwaysActive])
                 .leaks([0.05, 0.5])
                 .transitions([0.01, 0.2]),
         ];
-        let bits = |cell: &Cell| match cell.value {
-            Value::Float(f) => f.to_bits(),
-            ref other => panic!("expected a float cell, got {other:?}"),
-        };
         let engine = Engine::new(4);
         for spec in &specs {
             let before = engine.stats();
             let result = explore(&engine, spec);
             let stats = engine.stats().since(&before);
-            let combos = spec.form_combos();
-            let (n_leak, n_trans) = (spec.leak_values().len(), spec.transition_values().len());
             assert_eq!(result.points, spec.points());
             assert_eq!(stats.grid_points, result.points);
 
-            // Brute force with the scalar evaluator, same canonical order.
-            let mut expected = Vec::new();
-            let mut traversals = 0;
-            for name in spec.bench_names() {
-                let bench = Benchmark::by_name(name).unwrap();
-                let run = run_benchmark_on(&engine, bench, EXPLORE_L2, spec.budget());
-                // Each grid fits one chunk: the axis rows and the
-                // benchmark's items each split into groups of
-                // `PREFERRED_BATCH`, one traversal per FU per group.
-                let groups = |n: usize| n.div_ceil(GridEval::PREFERRED_BATCH);
-                let per_item = combos.iter().any(|&(k, s)| !k.model_free(s));
-                traversals += run.sim.fu_idle.len()
-                    * (groups(n_leak + n_trans)
-                        + if per_item {
-                            groups(n_leak * n_trans)
-                        } else {
-                            0
-                        });
-                for &family in spec.policy_kinds() {
-                    let mut best: Option<(f64, usize, usize, usize, PolicyRun)> = None;
-                    for (leak_i, &leak) in spec.leak_values().iter().enumerate() {
-                        for (trans_i, &tr) in spec.transition_values().iter().enumerate() {
-                            let model = model_at(leak, tr);
-                            for (combo_i, &(kind, slices)) in combos.iter().enumerate() {
-                                if kind != family {
-                                    continue;
-                                }
-                                let total =
-                                    policy_energy_of(&model, kind.form(&model, slices), &run.sim);
-                                let ratio = total.normalized_to_max(&model);
-                                if best.is_none_or(|b| ratio < b.0) {
-                                    best = Some((ratio, leak_i, trans_i, combo_i, total));
-                                }
-                            }
-                        }
-                    }
-                    expected.push(best.unwrap());
-                }
-            }
-            assert_eq!(stats.grid_batches, traversals);
-            assert_eq!(result.optima.rows().len(), expected.len());
-            for (row, (ratio, leak_i, trans_i, combo_i, total)) in
-                result.optima.rows().iter().zip(expected)
-            {
-                let slices = combos[combo_i].1.map_or("-".to_string(), |s| s.to_string());
-                assert_eq!(row[3].text(), slices);
-                assert_eq!(bits(&row[4]), spec.leak_values()[leak_i].to_bits());
-                assert_eq!(bits(&row[5]), spec.transition_values()[trans_i].to_bits());
-                assert_eq!(bits(&row[6]), total.energy.total().to_bits());
-                assert_eq!(bits(&row[7]), ratio.to_bits());
-                assert_eq!(bits(&row[8]), total.transitions_equiv.to_bits());
-            }
+            // One traversal per FU per group of `PREFERRED_BATCH`: the
+            // diagonal axis rows of each benchmark, and its items (each
+            // benchmark either fits one chunk or holds a multiple of
+            // `PREFERRED_BATCH` items, so chunking adds no group).
+            let (n_leak, n_trans) = (spec.leak_values().len(), spec.transition_values().len());
+            let groups = |n: usize| n.div_ceil(GridEval::PREFERRED_BATCH);
+            let combos = spec.form_combos();
+            let axis = combos.iter().any(|&(k, s)| k.model_free(s));
+            let per_item = combos.iter().any(|&(k, s)| !k.model_free(s));
+            let per_fu = if axis { groups(n_leak.max(n_trans)) } else { 0 }
+                + if per_item {
+                    groups(n_leak * n_trans)
+                } else {
+                    0
+                };
+            let runs: Vec<BenchRun> = spec
+                .bench_names()
+                .iter()
+                .map(|name| {
+                    let bench = Benchmark::by_name(name).unwrap();
+                    run_benchmark_on(&engine, bench, EXPLORE_L2, spec.budget())
+                })
+                .collect();
+            let fus: usize = runs.iter().map(|run| run.sim.fu_idle.len()).sum();
+            assert_eq!(stats.grid_batches, fus * per_fu);
 
-            // Worker-count invariance, the determinism contract.
-            let sequential = explore(&Engine::sequential(), spec);
-            assert_eq!(sequential.optima.to_json(), result.optima.to_json());
-            assert_eq!(sequential.frontier.to_json(), result.frontier.to_json());
-            assert_eq!(sequential.crossover.to_json(), result.crossover.to_json());
+            // The fold itself — each optimum's and frontier point's grid
+            // position, so ties between equal values show, and every
+            // float — at either worker count, then the rendered bytes.
+            let combos = Combos::new(spec);
+            let reference = scalar_scan(spec, &runs, &combos);
+            for jobs in [1, 4] {
+                let (fold, _) = fold_grid(jobs, spec, &runs, &combos);
+                assert_eq!(format!("{fold:?}"), format!("{reference:?}"), "jobs {jobs}");
+            }
+            let want = render(spec, &runs, &combos, &reference);
+            assert_eq!(result.optima.to_json(), want.optima.to_json());
+            assert_eq!(result.frontier.to_json(), want.frontier.to_json());
+            assert_eq!(result.crossover.to_json(), want.crossover.to_json());
         }
     }
 

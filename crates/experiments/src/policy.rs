@@ -145,7 +145,9 @@ impl PolicyKind {
     /// Whether [`PolicyKind::form`] ignores its model for this slice
     /// override: the parameterless families, and GradualSleep with an
     /// explicit slice count. Such a form prices separably over the
-    /// technology axes ([`fuleak_core::policy_eval::assemble_axis_run`]).
+    /// technology axes ([`fuleak_core::policy_eval::assemble_axis_run`]):
+    /// [`crate::explore::explore`] prices it once per axis row and
+    /// folds each grid point in closed form from two rows.
     pub fn model_free(self, slices: Option<u32>) -> bool {
         match self {
             PolicyKind::MaxSleep | PolicyKind::AlwaysActive | PolicyKind::NoOverhead => true,

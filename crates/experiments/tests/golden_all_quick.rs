@@ -14,6 +14,12 @@
 //!   rules: hits, misses, computes and store reads and writes must
 //!   repeat exactly.
 //!
+//! The explorer is checked the same way: `explore_quick.json` is the
+//! JSON of an explore spec covering all six policy families, slice
+//! counts from 1 to past every interval and both ends of the knob
+//! ranges, at `--jobs 1` and `--jobs 4`; and a two-benchmark spec must
+//! print the same text and JSON at either job count.
+//!
 //! Each job count is its own test so the harness runs them
 //! concurrently. There is no bless mode: a golden changes only when
 //! its command is re-run on purpose.
@@ -47,8 +53,9 @@ fn golden(name: &str) -> (PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
-/// Panics, naming the first differing line, unless `got` is `want`.
-fn assert_bytes(what: &str, got: &[u8], want: &[u8], golden: &Path) {
+/// Panics, naming the first differing line, unless `got` is `want`
+/// (read from `source`).
+fn assert_bytes(what: &str, got: &[u8], want: &[u8], source: &str) {
     if got == want {
         return;
     }
@@ -59,8 +66,7 @@ fn assert_bytes(what: &str, got: &[u8], want: &[u8], golden: &Path) {
         .position(|(g, w)| g != w)
         .unwrap_or_else(|| got_text.lines().count().min(want_text.lines().count()));
     panic!(
-        "{what} differs from {} at line {}:\n  got:  {:?}\n  want: {:?}\n({} vs {} bytes)",
-        golden.display(),
+        "{what} differs from {source} at line {}:\n  got:  {:?}\n  want: {:?}\n({} vs {} bytes)",
         line + 1,
         got_text.lines().nth(line),
         want_text.lines().nth(line),
@@ -100,7 +106,7 @@ fn assert_matches_goldens(jobs: &str) {
             &format!("{what} stdout"),
             &out.stdout,
             &stdout_golden,
-            &stdout_path,
+            &stdout_path.display().to_string(),
         );
         let summary: Vec<u8> = out
             .stderr
@@ -113,7 +119,7 @@ fn assert_matches_goldens(jobs: &str) {
             &format!("{what} engine total"),
             &summary,
             summary_rows[row],
-            &summary_path,
+            &summary_path.display().to_string(),
         );
     }
     let _ = std::fs::remove_dir_all(&store);
@@ -127,4 +133,79 @@ fn repro_all_quick_matches_golden_at_jobs_1() {
 #[test]
 fn repro_all_quick_matches_golden_at_jobs_4() {
     assert_matches_goldens("4");
+}
+
+/// The command of `explore_quick.json`.
+const EXPLORE_GOLDEN: &[&str] = &[
+    "explore",
+    "--bench",
+    "gzip",
+    "--policy",
+    "maxsleep,gradualsleep,alwaysactive,nooverhead,timeout,adaptive",
+    "--slices",
+    "1,8,4000000000",
+    "--leak",
+    "0:1:0.25",
+    "--transition",
+    "0:1:0.5",
+    "--quick",
+    "--format",
+    "json",
+];
+
+/// A two-benchmark explore spec for the worker-count check.
+const EXPLORE_TWO_BENCH: &[&str] = &[
+    "explore",
+    "--bench",
+    "gzip,vpr",
+    "--slices",
+    "1,4,16,64",
+    "--leak",
+    "0:1:0.1",
+    "--transition",
+    "0:1:0.1",
+    "--quick",
+];
+
+/// The stdout of `repro <args> --jobs <jobs>` with no store attached.
+fn repro_stdout(args: &[&str], jobs: &str) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .args(["--jobs", jobs])
+        .env_remove("FULEAK_STORE")
+        .output()
+        .expect("run repro");
+    assert!(
+        out.status.success(),
+        "repro {} --jobs {jobs} failed: {}",
+        args.join(" "),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+#[test]
+fn explore_matches_golden_at_jobs_1_and_4() {
+    let (path, want) = golden("explore_quick.json");
+    for jobs in ["1", "4"] {
+        assert_bytes(
+            &format!("repro explore (golden spec) --jobs {jobs}"),
+            &repro_stdout(EXPLORE_GOLDEN, jobs),
+            &want,
+            &path.display().to_string(),
+        );
+    }
+}
+
+#[test]
+fn explore_text_and_json_are_jobs_invariant() {
+    for format in ["text", "json"] {
+        let args = [EXPLORE_TWO_BENCH, &["--format", format]].concat();
+        assert_bytes(
+            &format!("repro explore (two benchmarks) --format {format} --jobs 4"),
+            &repro_stdout(&args, "4"),
+            &repro_stdout(&args, "1"),
+            "the --jobs 1 stdout",
+        );
+    }
 }

@@ -1,14 +1,15 @@
 //! Integration tests for the production serving tier: single-flight
 //! deduplication under concurrent cold traffic, HTTP/1.1 keep-alive
-//! byte-identity, bounded-queue backpressure (503 + recovery), the
-//! canonical response cache, and graceful shutdown that drains
-//! in-flight requests.
+//! byte-identity, served `/explore` bodies equal to the CLI's JSON,
+//! bounded-queue backpressure (503 + recovery), the canonical response
+//! cache, and graceful shutdown that drains in-flight requests.
 
 use fuleak_experiments::experiment::sweep_table;
 use fuleak_experiments::serve::{ServeConfig, Server};
 use fuleak_experiments::{Budget, Engine, SweepSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -171,6 +172,37 @@ fn runaway_axis_list_is_a_400_and_the_worker_keeps_serving() {
         "/explore?bench=gzip&policy=maxsleep&slices=1&leak=0:1:0.5&transition=0.01&format=json",
     );
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    handle.stop();
+}
+
+#[test]
+fn served_explore_equals_cli_json() {
+    let cli = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["explore", "--bench", "gzip", "--slices", "1,8,64"])
+        .args(["--leak", "0,0.5,1", "--transition", "0,0.5"])
+        .args(["--quick", "--format", "json"])
+        .env_remove("FULEAK_STORE")
+        .output()
+        .expect("run repro");
+    assert!(
+        cli.status.success(),
+        "repro explore failed: {}",
+        String::from_utf8_lossy(&cli.stderr)
+    );
+
+    let engine = Arc::new(Engine::new(0));
+    let server = Server::bind("127.0.0.1:0", engine, Budget::Quick).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let (head, body) = get(
+        addr,
+        "/explore?bench=gzip&slices=1,8,64&leak=0,0.5,1&transition=0,0.5&format=json",
+    );
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert_eq!(
+        String::from_utf8_lossy(&body),
+        String::from_utf8_lossy(&cli.stdout)
+    );
     handle.stop();
 }
 
