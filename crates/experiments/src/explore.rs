@@ -32,7 +32,7 @@
 //! `(i, j)` in closed form with one add and one divide. TimeoutSleep
 //! and AdaptiveSleep take their parameters from each item's breakeven
 //! interval, so they are priced per item. Both kinds of task share one
-//! [`parallel_map`] queue, axis rows first.
+//! [`parallel_map`] queue, axis rows first; the fold is a second one.
 //!
 //! Items are sharded in **fixed-size chunks of the canonical item
 //! order** (benchmark-major, then leakage, then transition cost),
@@ -52,7 +52,7 @@
 use crate::harness::{run_benchmark_on, BenchRun, Budget};
 use crate::policy::{PolicyKind, EVAL_ALPHA};
 use crate::result::{Cell, ResultTable};
-use crate::scenario::{parallel_map, Engine, SweepSpec, FU_CANDIDATES};
+use crate::scenario::{effective_jobs, parallel_map, Engine, SweepSpec, FU_CANDIDATES};
 use fuleak_core::accounting::PolicyRun;
 use fuleak_core::fxhash::FxHashSet;
 use fuleak_core::policy_eval::{GridEval, PolicyForm};
@@ -702,8 +702,7 @@ fn fold_grid(jobs: usize, spec: &ExploreSpec, runs: &[BenchRun], combos: &Combos
     // chunk's segment of one leak row every point of a form shares
     // `teq`, so only the form's first minimum can join the optima or
     // the frontier; every point adds to the crossover sums, in order.
-    let axis_chunks = if n_axis > 0 { chunks } else { Vec::new() };
-    let folds = parallel_map(jobs, axis_chunks, |items| {
+    let fold_chunk = |items: &Range<usize>| {
         let mut fold = new_fold();
         let mut firsts: Vec<Option<(f64, usize, f64)>> = Vec::with_capacity(n_axis);
         let mut item = items.start;
@@ -745,12 +744,17 @@ fn fold_grid(jobs: usize, spec: &ExploreSpec, runs: &[BenchRun], combos: &Combos
             item += segment.len();
         }
         fold
-    });
+    };
+    // A chunk folds in microseconds, so each worker takes one span of
+    // chunks rather than a round trip through the shared queue per chunk.
+    let span = chunks.len().div_ceil(effective_jobs(jobs)).max(1);
+    let spans: Vec<_> = chunks.chunks(span).filter(|_| n_axis > 0).collect();
+    let folds: Vec<Vec<_>> = parallel_map(jobs, spans, |s| s.iter().map(fold_chunk).collect());
 
     // Merge in chunk order: chunk composition is jobs-independent, so
     // the floating-point crossover sums reproduce the sequential scan
     // exactly.
-    for fold in folds {
+    for fold in folds.into_iter().flatten() {
         total.merge(fold, width);
     }
     (total, batches)
